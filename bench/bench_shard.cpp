@@ -15,13 +15,19 @@
 //                 (post-warmup) window.  Must stay zero: the per-thread
 //                 FramePool free lists and the capacity-retaining mailboxes
 //                 absorb cross-shard churn without touching the heap.
+//   events/window dispatches per barrier round: the work a window gives each
+//                 barrier to amortise.
+//   parks/window  barrier waits that outlasted their spin and parked, per
+//                 round (ShardSet::barrier_parks); high values mean the
+//                 threads slept through the barrier instead of spinning.
 //
 // The --json output is the perf trajectory checked in as BENCH_shard.json.
-// CI gates (plain build only): allocs/event == 0 at every thread count,
-// throughput within 20 % of the checked-in trajectory, and — only when the
-// runner actually has >= 8 hardware threads — >= 3x speedup at 8 threads.
-// The "hardware threads" row is emitted so the gate can tell a slow engine
-// from a small machine.
+// CI gates (plain build only) compare rows of the same run: allocs/event
+// ~ 0 at every thread count, every thread count's events/sec >= 0.2x the
+// 1-thread row (catches spin collapse on oversubscribed hosts), and — only
+// when the runner actually has >= 8 hardware threads — >= 3x speedup at 8
+// threads.  The "hardware threads" row is emitted so the gate can tell a
+// slow engine from a small machine.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -82,6 +88,8 @@ namespace {
 struct ShardScore {
   double events_per_sec = 0.0;
   double allocs_per_event = 0.0;
+  double events_per_window = 0.0;
+  double parks_per_window = 0.0;
   uint64_t merged_hash = 0;
 };
 
@@ -111,19 +119,28 @@ ShardScore RunConfig(int shards, int threads, bool traced = false) {
   }
   world.RunUntil(Seconds(2));
 
+  const ShardSet& set = *world.shard_set();
   const uint64_t events_before = world.TotalContextSwitches();
+  const uint64_t windows_before = set.windows();
+  const uint64_t parks_before = set.barrier_parks();
   const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   const auto wall_before = std::chrono::steady_clock::now();
   world.RunUntil(Seconds(12));
   const auto wall_after = std::chrono::steady_clock::now();
   const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
   const uint64_t events = world.TotalContextSwitches() - events_before;
+  const uint64_t windows = set.windows() - windows_before;
+  const uint64_t parks = set.barrier_parks() - parks_before;
 
   ShardScore score;
   const double wall_s = std::chrono::duration<double>(wall_after - wall_before).count();
   score.events_per_sec = wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
   score.allocs_per_event =
       events > 0 ? static_cast<double>(allocs) / static_cast<double>(events) : 0.0;
+  if (windows > 0) {
+    score.events_per_window = static_cast<double>(events) / static_cast<double>(windows);
+    score.parks_per_window = static_cast<double>(parks) / static_cast<double>(windows);
+  }
   if (traced && !world.shard_set()->ExportMergedTraceTo(BenchState().trace_path)) {
     std::fprintf(stderr, "failed to write merged trace to %s\n",
                  BenchState().trace_path.c_str());
@@ -164,6 +181,8 @@ int main(int argc, char** argv) {
         std::to_string(shards) + " shards, " + std::to_string(threads) + " threads ";
     BenchRow(tag + "events/sec", score.events_per_sec, "ev/s");
     BenchRow(tag + "allocs/event", score.allocs_per_event, "alloc");
+    BenchRow(tag + "events/window", score.events_per_window, "ev");
+    BenchRow(tag + "parks/window", score.parks_per_window, "parks");
     BenchRow("hardware threads", static_cast<double>(std::thread::hardware_concurrency()),
              "cpus");
     return BenchFinish();
@@ -182,6 +201,8 @@ int main(int argc, char** argv) {
     const std::string tag = "8 shards, " + std::to_string(threads) + " threads ";
     BenchRow(tag + "events/sec", score.events_per_sec, "ev/s");
     BenchRow(tag + "allocs/event", score.allocs_per_event, "alloc");
+    BenchRow(tag + "events/window", score.events_per_window, "ev");
+    BenchRow(tag + "parks/window", score.parks_per_window, "parks");
     if (threads == 1) {
       base_eps = score.events_per_sec;
       base_hash = score.merged_hash;

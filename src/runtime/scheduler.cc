@@ -322,8 +322,7 @@ bool Scheduler::DispatchOne() {
       }
       // Error kept for ProcessHandle::CheckError; the slot stays in use.
     } else if (ctx->pending_timers == 0) {
-      // The common exit: the record returns to the slab immediately, no
-      // manual PruneCompleted required.
+      // The common exit: the record returns to the slab immediately.
       RecycleCtx(ctx);
     }
   }

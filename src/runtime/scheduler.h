@@ -217,14 +217,6 @@ class Scheduler {
     return Awaiter{this};
   }
 
-  // --- Housekeeping ---------------------------------------------------------
-
-  // Completed processes are recycled automatically the moment they finish
-  // (their slab slot returns to the free list), so there is nothing left to
-  // prune.  Kept as a no-op shim for callers written against the manual
-  // sweep; always returns 0.
-  size_t PruneCompleted() { return 0; }
-
   // --- Telemetry -----------------------------------------------------------
 
   // The scheduler-owned trace recorder, bound to this scheduler's simulated

@@ -5,6 +5,10 @@
 #include <exception>
 #include <utility>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "src/runtime/check.h"
 #include "src/trace/trace.h"
 
@@ -22,16 +26,16 @@ ShardSet::ShardSet(ShardSetOptions options) : options_(options) {
   outboxes_.resize(shards_.size());
   shard_errors_.resize(shards_.size());
   next_event_cache_.assign(shards_.size(), kNever);
-  if (threads_ > 1) {
-    workers_.reserve(static_cast<size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) {
-      workers_.emplace_back([this, w] { WorkerMain(w); });
-    }
+  park_slots_.resize(static_cast<size_t>(threads_));
+  spin_ = static_cast<unsigned>(threads_) <= std::thread::hardware_concurrency();
+  helpers_.reserve(static_cast<size_t>(threads_ - 1));
+  for (int w = 1; w < threads_; ++w) {
+    helpers_.emplace_back([this, w] { HelperMain(w); });
   }
 }
 
 ShardSet::~ShardSet() {
-  StopWorkers();
+  StopHelpers();
   Shutdown();
 }
 
@@ -97,7 +101,7 @@ void ShardSet::RunGlobalEvents(Time upto) {
     GlobalEvent event = global_events_.back();
     global_events_.pop_back();
     // May PostGlobal again (heap push mid-loop is fine) and may mutate any
-    // shard: every worker is parked and every clock has reached event.when.
+    // shard: every helper is waiting and every clock has reached event.when.
     event.fire();
     ++global_events_run_;
   }
@@ -156,15 +160,67 @@ Time ShardSet::MinNextEvent() {
   return t;
 }
 
-void ShardSet::RunShardsInline(Time window_end) {
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (skip_idle_ && next_event_cache_[i] > window_end) {
-      continue;
+namespace {
+
+// Pause iterations a barrier wait spins before parking (about 0.2 ms on a
+// 4-core Xeon at 13.5 ns per pause).  The spin must outlast a futex wake:
+// with a shorter one, a waiter that parked once wakes too late for its
+// partner's spin, the partner parks too, and both stay in the slow
+// park/wake regime (E19's 2-thread row fell to 0.1x of 1 thread).
+constexpr int kSpinIterations = 1 << 14;
+// The spin yields every this many pauses.  After a futex wake the kernel
+// may place the woken thread on the waker's core; yielding lets it run
+// there instead of waiting out the spinner's time slice.
+constexpr int kYieldEvery = 256;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
+template <typename T, typename Done>
+T ShardSet::Await(const std::atomic<T>& word, Done done, int worker) {
+  T value = word.load(std::memory_order_acquire);
+  if (spin_) {
+    for (int i = 1; i <= kSpinIterations && !done(value); ++i) {
+      CpuRelax();
+      if (i % kYieldEvery == 0) {
+        std::this_thread::yield();
+      }
+      value = word.load(std::memory_order_acquire);
+    }
+  }
+  if (done(value)) {
+    return value;
+  }
+  do {
+    word.wait(value, std::memory_order_acquire);
+    value = word.load(std::memory_order_acquire);
+  } while (!done(value));
+  // Counted after the wake: a helper's count then precedes its next busy_
+  // decrement, so the coordinator's barrier_parks() never races it.
+  ++park_slots_[static_cast<size_t>(worker)].parks;
+  return value;
+}
+
+void ShardSet::RunWorkerShards(int worker) {
+  // Static assignment: shard i always runs on worker i % threads, so
+  // results cannot depend on which worker drains faster and each shard's
+  // frame churn stays on one thread's FramePool free lists.
+  for (int i = worker; i < shard_count(); i += threads_) {
+    const size_t s = static_cast<size_t>(i);
+    if (skip_idle_ && next_event_cache_[s] > window_end_) {
+      continue;  // provably nothing due in the window; see RunWindow's doc
     }
     try {
-      shards_[i]->RunUntil(window_end);
+      shards_[s]->RunUntil(window_end_);
     } catch (...) {
-      shard_errors_[i] = std::current_exception();
+      shard_errors_[s] = std::current_exception();
     }
   }
 }
@@ -178,58 +234,33 @@ void ShardSet::RunWindow(Time window_end, bool allow_idle_skip) {
       }
     }
   }
-  if (workers_.empty()) {
-    window_end_ = window_end;
-    skip_idle_ = allow_idle_skip;
-    RunShardsInline(window_end);
+  window_end_ = window_end;
+  skip_idle_ = allow_idle_skip;
+  if (helpers_.empty()) {
+    RunWorkerShards(0);
   } else {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      window_end_ = window_end;
-      skip_idle_ = allow_idle_skip;
-      workers_busy_ = threads_;
-      ++round_;
-    }
-    work_cv_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return workers_busy_ == 0; });
+    busy_.store(threads_ - 1, std::memory_order_relaxed);
+    // Publishes window_end_, skip_idle_, next_event_cache_ and every timer
+    // the drain armed.  An RMW, so it is ordered before notify_all's check
+    // for parked waiters.
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+    RunWorkerShards(0);
+    Await(busy_, [](int32_t busy) { return busy == 0; }, 0);
   }
   RethrowFirstShardError();
 }
 
-void ShardSet::WorkerMain(int worker_index) {
-  uint64_t seen_round = 0;
+void ShardSet::HelperMain(int worker) {
+  uint32_t seen = 0;
   for (;;) {
-    Time window_end;
-    bool skip_idle;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this, seen_round] { return stop_ || round_ != seen_round; });
-      if (stop_) {
-        return;
-      }
-      seen_round = round_;
-      window_end = window_end_;
-      skip_idle = skip_idle_;
+    seen = Await(epoch_, [seen](uint32_t epoch) { return epoch != seen; }, worker);
+    if (stop_) {
+      return;
     }
-    // Static assignment: shard i always runs on worker i % threads, so
-    // results cannot depend on which worker drains faster and each shard's
-    // frame churn stays on one thread's FramePool free lists.
-    for (int i = worker_index; i < shard_count(); i += threads_) {
-      if (skip_idle && next_event_cache_[static_cast<size_t>(i)] > window_end) {
-        continue;  // provably nothing due in the window; see RunWindow's doc
-      }
-      try {
-        shards_[static_cast<size_t>(i)]->RunUntil(window_end);
-      } catch (...) {
-        shard_errors_[static_cast<size_t>(i)] = std::current_exception();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--workers_busy_ == 0) {
-        done_cv_.notify_all();
-      }
+    RunWorkerShards(worker);
+    if (busy_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      busy_.notify_one();
     }
   }
 }
@@ -273,7 +304,7 @@ void ShardSet::RunUntilQuiescent() {
     if (g <= t_min) {
       // Stop-the-world instant: advance every shard through g (shard events
       // at g dispatch first, on their own shards), then run the due globals
-      // on this thread with the workers parked.
+      // on this thread while the helpers wait.
       RunWindow(g, /*allow_idle_skip=*/false);
       RunBarrierTasks();
       RunGlobalEvents(g);
@@ -353,6 +384,14 @@ size_t ShardSet::undrained_messages() const {
   return n;
 }
 
+uint64_t ShardSet::barrier_parks() const {
+  uint64_t parks = 0;
+  for (const ParkSlot& slot : park_slots_) {
+    parks += slot.parks;
+  }
+  return parks;
+}
+
 uint64_t ShardSet::ShardDigest(int i) const {
   PANDORA_CHECK(i >= 0 && i < shard_count());
   const Scheduler& shard = *shards_[static_cast<size_t>(i)];
@@ -377,43 +416,35 @@ void ShardSet::EnableTrace(size_t max_events_per_shard) {
   }
 }
 
+void ShardSet::MergeTracesInto(TraceRecorder* merged) const {
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    merged->MergeFrom(*shards_[i]->trace(), "s" + std::to_string(i) + ":");
+  }
+}
+
 std::string ShardSet::ExportMergedTraceJson() const {
   TraceRecorder merged;
-  std::string prefix;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    prefix = "s";
-    prefix += std::to_string(i);
-    prefix += ':';
-    merged.MergeFrom(*shards_[i]->trace(), prefix);
-  }
+  MergeTracesInto(&merged);
   return merged.ExportJson();
 }
 
 bool ShardSet::ExportMergedTraceTo(const std::string& path) const {
   TraceRecorder merged;
-  std::string prefix;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    prefix = "s";
-    prefix += std::to_string(i);
-    prefix += ':';
-    merged.MergeFrom(*shards_[i]->trace(), prefix);
-  }
+  MergeTracesInto(&merged);
   return merged.ExportJsonTo(path);
 }
 
-void ShardSet::StopWorkers() {
-  if (workers_.empty()) {
+void ShardSet::StopHelpers() {
+  if (helpers_.empty()) {
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+  stop_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (std::thread& helper : helpers_) {
+    helper.join();
   }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
-  workers_.clear();
+  helpers_.clear();
 }
 
 }  // namespace pandora

@@ -5,13 +5,15 @@
 // event loop.  A ShardSet partitions the simulation into *shards* — each
 // shard is a full Scheduler (its own timer wheel, process slab, ready
 // queues, trace recorder, and, via thread-local FramePool free lists, its
-// own coroutine-frame recycler) — and executes them on a pool of OS worker
-// threads under conservative time synchronization:
+// own coroutine-frame recycler) — and executes them on OS worker threads
+// under conservative time synchronization:
 //
 //   window    All shards agree on a horizon W = min(next event over all
 //             shards) + lookahead - 1 and run [.., W] in parallel, each on
-//             its own worker, touching only its own state.
-//   barrier   Workers rendezvous; the coordinator drains every outbox.
+//             its own worker, touching only its own state.  The calling
+//             thread (the coordinator) is worker 0 and runs its own share.
+//   barrier   Workers rendezvous on an epoch barrier (spin, then park); the
+//             coordinator drains every outbox.
 //   drain     Cross-shard messages (sequence-stamped mailbox entries) are
 //             merged in (deliver_time, src_shard, seq) order and armed as
 //             ordinary timers on their destination shards.
@@ -45,10 +47,9 @@
 
 // This file is on pandora-lint's THREAD_SANCTIONED_FILES list: the thread
 // primitives below are the reason the ban exists everywhere else.
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,8 +61,9 @@
 namespace pandora {
 
 // Coordinator-side callback run at every window barrier (multi-shard mode
-// only), with all workers parked.  The cross-shard data plane uses it to
-// reclaim transfer records whose consumption the barrier just made visible.
+// only), with every helper thread waiting for the next window.  The
+// cross-shard data plane uses it to reclaim transfer records whose
+// consumption the barrier just made visible.
 // Not an std::function member by design: the timer hot path and the lint
 // rule both want fixed-size callables, and barrier tasks are long-lived
 // objects anyway.
@@ -75,10 +77,11 @@ struct ShardSetOptions {
   // Number of shards (independent Schedulers).  1 = legacy single-engine
   // mode, bit-identical to a bare Scheduler.
   int shards = 1;
-  // OS worker threads executing the shards; clamped to [1, shards].  Shard
-  // i is statically assigned to worker i % threads, so a shard's frame-pool
-  // churn stays on one thread's free lists and results never depend on
-  // which worker finishes first.
+  // Threads executing the shards, counting the calling thread: worker 0 is
+  // the coordinator itself, so threads - 1 helper threads are started.
+  // Clamped to [1, shards].  Shard i is statically assigned to worker
+  // i % threads, so a shard's frame-pool churn stays on one thread's free
+  // lists and results never depend on which worker finishes first.
   int threads = 1;
   // Conservative-sync lookahead.  Must be <= the minimum cross-shard
   // message latency (Post enforces per message); larger lookahead = fewer
@@ -117,7 +120,7 @@ class ShardSet {
   void Post(int src, int dst, Time when, TimerCallback fire);
 
   // Queues `fire` to run on the *coordinator* at simulated time `when`, with
-  // every worker parked at a barrier and every shard clock advanced exactly
+  // every helper waiting at a barrier and every shard clock advanced exactly
   // to `when` — a deterministic stop-the-world instant.  Unlike Post, the
   // callback may therefore touch state on any shard (crash a box here, close
   // a circuit there): the barrier provides the happens-before edges in both
@@ -143,7 +146,7 @@ class ShardSet {
   void RunFor(Duration d) { RunUntil(now() + d); }
 
   // Destroys all shards' live frames and timers (shard-index order) and
-  // drops undelivered mailbox entries.  Joins nothing: workers stay parked
+  // drops undelivered mailbox entries.  Joins nothing: helpers stay parked
   // for reuse until destruction.
   void Shutdown();
 
@@ -163,6 +166,10 @@ class ShardSet {
   uint64_t empty_mailbox_barriers() const { return empty_mailbox_barriers_; }
   // Mailbox entries accepted but not yet drained to a destination wheel.
   size_t undrained_messages() const;
+  // Barrier waits (coordinator or helper) that outlasted their spin and
+  // parked in std::atomic::wait.  Wall-time behaviour, not simulation
+  // state: it varies run to run and is 0 without helper threads.
+  uint64_t barrier_parks() const;
 
   // Order-sensitive digest of one shard's execution so far: folds context
   // switches, clock, and mailbox sequence state.  Equal digests across two
@@ -187,9 +194,10 @@ class ShardSet {
   };
 
   // Per-source outbox row.  A row is written only by the worker executing
-  // its shard (or the coordinator between rounds) and drained only by the
-  // coordinator at a barrier, so rows need no locks; the barrier's mutex
-  // provides the happens-before edge.
+  // its shard (or the coordinator between windows) and drained only by the
+  // coordinator at a barrier, so rows need no locks: the helper's busy_
+  // decrement (release) and the coordinator's busy_ == 0 load (acquire)
+  // order every write of the window before the drain.
   struct Outbox {
     std::vector<MailboxEntry> entries;
     uint64_t next_seq = 0;
@@ -213,7 +221,7 @@ class ShardSet {
     return global_events_.empty() ? kNever : global_events_.front().when;
   }
   // Pops and runs every global event with when <= upto (coordinator context,
-  // workers parked, all shard clocks == upto or beyond their last event).
+  // helpers waiting, all shard clocks == upto or beyond their last event).
   void RunGlobalEvents(Time upto);
   void RunBarrierTasks();
   // Merges every outbox into destination wheels in (when, src, seq) order.
@@ -226,11 +234,11 @@ class ShardSet {
   // next_event_cache_, which the immediately following RunWindow uses to
   // skip shards with nothing due in the window.
   Time MinNextEvent();
-  // Runs one window [.., window_end] across all shards, on the worker pool
-  // when it exists, inline otherwise; rethrows the lowest-shard process
-  // error afterwards.  With allow_idle_skip, shards whose cached next event
-  // lies beyond window_end are not run at all: they provably have nothing to
-  // dispatch (cross-window traffic lands strictly after window_end by the
+  // Runs one window [.., window_end] across all shards — worker 0's share on
+  // this thread, the rest on the helpers — and rethrows the lowest-shard
+  // process error afterwards.  With allow_idle_skip, shards whose cached
+  // next event lies beyond window_end are not run at all: they provably
+  // have nothing to dispatch (cross-window traffic lands strictly after window_end by the
   // lookahead contract), so skipping changes no observable — only the
   // skipped shard's clock, which lags until the RunUntil tail or the
   // quiescence catch-up advances it.  The skip decision is a pure function
@@ -238,10 +246,17 @@ class ShardSet {
   // Global windows pass false: RunGlobalEvents' contract is that every clock
   // has reached the instant before a stop-the-world callback runs.
   void RunWindow(Time window_end, bool allow_idle_skip);
-  void RunShardsInline(Time window_end);
-  void WorkerMain(int worker_index);
-  void StopWorkers();
+  // Runs worker `worker`'s statically-assigned shards to window_end_.
+  void RunWorkerShards(int worker);
+  void HelperMain(int worker);
+  void StopHelpers();
   void RethrowFirstShardError();
+  // Waits until `word` holds a value `done` accepts: spins first when every
+  // thread has a core, then parks.  Returns the accepted value.
+  template <typename T, typename Done>
+  T Await(const std::atomic<T>& word, Done done, int worker);
+  // Merges every shard's recorder into `merged` under "sN:" prefixes.
+  void MergeTracesInto(TraceRecorder* merged) const;
 
   ShardSetOptions options_;
   int threads_ = 1;
@@ -249,8 +264,9 @@ class ShardSet {
   std::vector<Outbox> outboxes_;              // index = src shard
   std::vector<MailboxEntry> drain_scratch_;   // reused merge buffer
   // Per-shard NextEventTime snapshot taken by MinNextEvent; consumed by the
-  // next RunWindow's idle-skip test.  Coordinator-written before the round
-  // is published, worker-read after — the barrier mutex orders the two.
+  // next RunWindow's idle-skip test.  Coordinator-written before the window
+  // is published, helper-read after — the epoch_ increment (release) and the
+  // helper's epoch_ load (acquire) order the two.
   std::vector<Time> next_event_cache_;
   std::vector<GlobalEvent> global_events_;    // min-heap (std::push/pop_heap)
   std::vector<ShardBarrierTask*> barrier_tasks_;
@@ -261,24 +277,31 @@ class ShardSet {
   uint64_t cross_shard_messages_ = 0;
   uint64_t idle_shard_skips_ = 0;
   uint64_t empty_mailbox_barriers_ = 0;
-  // Whether the current window may skip idle shards (published with
-  // window_end_ under mu_ for the worker pool).
+  // Whether the current window may skip idle shards (published to the
+  // helpers with window_end_ by the epoch_ increment).
   bool skip_idle_ = false;
   // Window currently (or most recently) executed; cross-shard posts must
-  // deliver strictly after it.  Published before workers are released.
+  // deliver strictly after it.  Published to helpers by the epoch_ increment.
   Time window_end_ = 0;
   bool shut_down_ = false;
 
-  // --- Worker-pool barrier protocol (multi-shard only) -----------------------
-  // Coordinator publishes (round_, window_end_) under mu_ and wakes workers;
-  // each worker runs its statically-assigned shards to window_end_, then
-  // reports done.  stop_ tears the pool down.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t round_ = 0;
-  int workers_busy_ = 0;
+  // --- Epoch barrier (multi-shard, threads > 1) -----------------------------
+  // The coordinator writes window_end_/skip_idle_, sets busy_ to the helper
+  // count, and release-increments epoch_; each helper acquires the new epoch,
+  // runs its shards, and acq_rel-decrements busy_ (the last one notifies).
+  // The coordinator runs worker 0's shards meanwhile, then acquire-waits for
+  // busy_ == 0.  stop_ is written like window_end_ and read after an epoch.
+  // 32-bit words so std::atomic::wait parks on a futex directly.
+  struct alignas(64) ParkSlot {
+    uint64_t parks = 0;  // written only by its own worker; see barrier_parks
+  };
+  std::vector<std::thread> helpers_;  // helpers_[w - 1] is worker w
+  std::vector<ParkSlot> park_slots_;  // index = worker
+  alignas(64) std::atomic<uint32_t> epoch_{0};
+  alignas(64) std::atomic<int32_t> busy_{0};
+  // Spin before parking only when every thread can have a core: spinning
+  // on an oversubscribed host steals the core the awaited thread needs.
+  bool spin_ = false;
   bool stop_ = false;
 };
 

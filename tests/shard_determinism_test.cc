@@ -8,7 +8,7 @@
 // Three configurations of the same storm are compared:
 //
 //   threads=1 / shards=1     the legacy engine (delegation fast path)
-//   threads=1 / shards=8     conservative windows, no worker pool
+//   threads=1 / shards=8     conservative windows, no helper threads
 //   threads=8 / shards=8     conservative windows on 8 OS threads
 //
 // The last two must agree on EVERYTHING (per-shard order-sensitive hashes,
