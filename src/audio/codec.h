@@ -18,11 +18,11 @@
 #define PANDORA_SRC_AUDIO_CODEC_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "src/audio/signal.h"
+#include "src/buffer/ring_queue.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/stats.h"
@@ -102,7 +102,7 @@ class CodecOutput {
 
   Scheduler* sched_;
   CodecOutputConfig config_;
-  std::deque<AudioBlock> fifo_;
+  RingQueue<AudioBlock> fifo_;
   bool primed_ = false;
   bool started_ = false;
   uint64_t played_blocks_ = 0;

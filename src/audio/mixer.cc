@@ -17,6 +17,30 @@ AudioMixer::AudioMixer(Scheduler* sched, AudioMixerOptions options, ClawbackBank
       out_(out),
       muting_(muting) {}
 
+const StatAccumulator* AudioMixer::LatencyFor(StreamId stream) const {
+  auto it = std::lower_bound(
+      slots_.begin(), slots_.end(), stream,
+      [](const StreamSlot& slot, StreamId id) { return slot.stream < id; });
+  if (it == slots_.end() || it->stream != stream || it->latency.count() == 0) {
+    return nullptr;
+  }
+  return &it->latency;
+}
+
+AudioMixer::StreamSlot& AudioMixer::SlotFor(StreamId stream, size_t* hint) {
+  size_t i = *hint;
+  while (i < slots_.size() && slots_[i].stream < stream) {
+    ++i;
+  }
+  if (i == slots_.size() || slots_[i].stream != stream) {
+    StreamSlot slot;
+    slot.stream = stream;
+    slots_.insert(slots_.begin() + static_cast<ptrdiff_t>(i), slot);
+  }
+  *hint = i;
+  return slots_[i];
+}
+
 void AudioMixer::Start() {
   PANDORA_CHECK(!started_);
   started_ = true;
@@ -43,14 +67,14 @@ Process AudioMixer::Run() {
       max_lateness_ = std::max(max_lateness_, lateness);
     }
 
-    auto streams = bank_->ActiveStreams();
+    bank_->ActiveStreamsInto(&active_);
     PANDORA_TRACE_COUNTER(sched_->trace(), trace_streams_site_, options_.name + ".streams",
-                          static_cast<int64_t>(streams.size()));
+                          static_cast<int64_t>(active_.size()));
 
     if (cpu_ != nullptr) {
       Duration cost =
           options_.costs.mixer_base +
-          static_cast<Duration>(streams.size()) *
+          static_cast<Duration>(active_.size()) *
               (options_.costs.mix_per_stream +
                (options_.jitter_correction ? options_.costs.jitter_correction_per_stream : 0)) +
           (muting_ != nullptr ? options_.costs.muting : 0);
@@ -64,14 +88,15 @@ Process AudioMixer::Run() {
     // reference codec over the full domain).
     alignas(16) int32_t accumulator[kAudioBlockSamples] = {};
     alignas(16) int16_t linear[kAudioBlockSamples];
-    for (StreamId stream : streams) {
+    size_t hint = 0;
+    for (StreamId stream : active_) {
+      StreamSlot& slot = SlotFor(stream, &hint);
       auto block = bank_->Pop(stream);
       if (!block.has_value()) {
         // Buffer found empty: recover per policy.  (The bank has also
         // deactivated the stream; arriving data re-creates it.)
-        auto last = last_block_.find(stream);
-        if (options_.recovery == MixRecovery::kReplayLast && last != last_block_.end()) {
-          block = last->second;
+        if (options_.recovery == MixRecovery::kReplayLast && slot.has_last_block) {
+          block = slot.last_block;
           ++replays_;
         } else {
           ++silences_;
@@ -79,17 +104,18 @@ Process AudioMixer::Run() {
         }
       } else {
         Duration block_latency = sched_->now() - block->source_time;
-        latency_[stream].Add(static_cast<double>(block_latency));
+        slot.latency.Add(static_cast<double>(block_latency));
         all_latency_.Add(static_cast<double>(block_latency));
         // End-to-end latency keyed by (stream, final hop): source timestamp
         // to mix time at this destination.
-        PANDORA_TRACE_HISTOGRAM(sched_->trace(), trace_hists_[stream],
+        PANDORA_TRACE_HISTOGRAM(sched_->trace(), slot.trace_hist,
                                 options_.name + ".e2e.s" + std::to_string(stream), "us",
                                 block_latency);
       }
       ULawDecodeBlock<kAudioBlockSamples>(block->samples.data(), linear);
       AccumulateBlock<kAudioBlockSamples>(linear, accumulator);
-      last_block_[stream] = *block;
+      slot.last_block = *block;
+      slot.has_last_block = true;
       ++blocks_mixed_;
     }
 

@@ -20,8 +20,8 @@
 #define PANDORA_SRC_AUDIO_MIXER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "src/audio/codec.h"
 #include "src/audio/costs.h"
@@ -66,15 +66,26 @@ class AudioMixer {
   uint64_t blocks_mixed() const { return blocks_mixed_; }
 
   // Per-block end-to-end latency observed at the mixer, per stream
-  // (mixing time minus the block's source timestamp).
-  const StatAccumulator* LatencyFor(StreamId stream) const {
-    auto it = latency_.find(stream);
-    return it == latency_.end() ? nullptr : &it->second;
-  }
+  // (mixing time minus the block's source timestamp); null until the
+  // stream's first block is mixed.
+  const StatAccumulator* LatencyFor(StreamId stream) const;
   const StatAccumulator& all_latency() const { return all_latency_; }
 
  private:
+  // Everything the mixer keeps per stream it has ever read.
+  struct StreamSlot {
+    StreamId stream = kInvalidStream;
+    bool has_last_block = false;
+    AudioBlock last_block;  // for replay recovery
+    StatAccumulator latency;
+    TraceSiteId trace_hist = 0;  // end-to-end latency histogram
+  };
+
   Process Run();
+  // The slot for `stream`, created on first use.  slots_ is sorted by
+  // stream, and the mixer visits streams in ascending order, so `hint` (the
+  // previous slot's index) makes the search a short forward scan.
+  StreamSlot& SlotFor(StreamId stream, size_t* hint);
 
   Scheduler* sched_;
   AudioMixerOptions options_;
@@ -83,8 +94,8 @@ class AudioMixer {
   CodecOutput* out_;
   MutingControl* muting_;
 
-  std::map<StreamId, AudioBlock> last_block_;
-  std::map<StreamId, StatAccumulator> latency_;
+  std::vector<StreamSlot> slots_;
+  std::vector<StreamId> active_;  // this tick's streams, capacity reused
   StatAccumulator all_latency_;
   uint64_t ticks_ = 0;
   uint64_t late_ticks_ = 0;
@@ -94,9 +105,8 @@ class AudioMixer {
   uint64_t blocks_mixed_ = 0;
   bool started_ = false;
 
-  // Telemetry: per-stream end-to-end latency histograms (source to mix,
-  // the final hop) and an active-stream counter per tick.
-  std::map<StreamId, TraceSiteId> trace_hists_;
+  // Telemetry: an active-stream counter per tick (the per-stream latency
+  // histograms live in the slots).
   TraceSiteId trace_streams_site_ = 0;
 };
 

@@ -59,8 +59,9 @@ Process AudioReceiver::Run() {
       continue;
     }
 
-    for (const AudioBlock& block : SplitIntoBlocks(segment)) {
-      ClawbackPushResult result = bank_->Push(segment.stream, block);
+    const size_t whole = segment.payload.size() / kAudioBlockBytes;
+    for (size_t b = 0; b < whole; ++b) {
+      ClawbackPushResult result = bank_->Push(segment.stream, AudioBlockAt(segment, b));
       if (result == ClawbackPushResult::kStored) {
         ++blocks_delivered_;
       } else {

@@ -63,8 +63,9 @@ Task<void> AudioSender::EmitSegment() {
   // Obtaining the buffer can park us when the pool is starved — the paper's
   // deliberate back-pressure path.
   SegmentRef ref = co_await pool_->Allocate();
-  *ref = MakeAudioSegment(options_.stream, sequence_++, pending_start_, std::move(pending_));
-  pending_ = std::vector<uint8_t>();
+  FillAudioSegment(ref.get(), options_.stream, sequence_++, pending_start_, pending_.data(),
+                   pending_.size());
+  pending_.clear();
   ++segments_sent_;
   co_await segments_out_->Send(std::move(ref));
 }

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "src/runtime/check.h"
+
 namespace pandora {
 
 // Drop-instant "reason" argument values (see DESIGN.md section 7).
@@ -16,7 +18,10 @@ constexpr int64_t kDropReasonPool = 3;
 void ClawbackBuffer::BindTrace(TraceRecorder* trace, const std::string& bank_prefix) {
   trace_ = trace;
   if (trace_ != nullptr) {
-    trace_prefix_ = bank_prefix + ".s" + std::to_string(stream_);
+    // Built in place so a reused buffer keeps the string's capacity.
+    trace_prefix_.assign(bank_prefix);
+    trace_prefix_ += ".s";
+    trace_prefix_ += std::to_string(stream_);
   }
 }
 
@@ -31,6 +36,20 @@ void ClawbackBank::BindTrace(TraceRecorder* trace, std::string prefix) {
 ClawbackBuffer::ClawbackBuffer(StreamId stream, const ClawbackConfig& config, ClawbackPool* pool,
                                Reporter* reporter)
     : stream_(stream), config_(config), pool_(pool), reporter_(reporter) {}
+
+void ClawbackBuffer::Reuse(StreamId stream) {
+  PANDORA_CHECK(blocks_.empty(), "reusing a clawback buffer that still holds blocks");
+  stream_ = stream;
+  above_target_count_ = 0;
+  running_min_blocks_ = 0;
+  running_min_valid_ = false;
+  blocks_since_reset_ = 0;
+  stats_ = Stats{};
+  trace_ = nullptr;
+  trace_prefix_.clear();
+  trace_depth_site_ = 0;
+  trace_drop_site_ = 0;
+}
 
 ClawbackBuffer::~ClawbackBuffer() {
   if (pool_ != nullptr && !blocks_.empty()) {
@@ -147,10 +166,18 @@ ClawbackPushResult ClawbackBank::Push(StreamId stream, const AudioBlock& block) 
   if (it == buffers_.end()) {
     // "If a block arrives for a stream that does not have a buffer, a new
     // clawback buffer will be inserted, and mixing will resume."
-    it = buffers_
-             .emplace(std::piecewise_construct, std::forward_as_tuple(stream),
-                      std::forward_as_tuple(stream, config_, &pool_, reporter_))
-             .first;
+    if (spare_.empty()) {
+      it = buffers_
+               .emplace(std::piecewise_construct, std::forward_as_tuple(stream),
+                        std::forward_as_tuple(stream, config_, &pool_, reporter_))
+               .first;
+    } else {
+      BufferMap::node_type node = std::move(spare_.back());
+      spare_.pop_back();
+      node.key() = stream;
+      node.mapped().Reuse(stream);
+      it = buffers_.insert(std::move(node)).position;
+    }
     it->second.BindTrace(trace_, trace_prefix_);
     ++activations_;
   }
@@ -162,11 +189,16 @@ ClawbackPushResult ClawbackBank::Push(StreamId stream, const AudioBlock& block) 
 
 std::vector<StreamId> ClawbackBank::ActiveStreams() const {
   std::vector<StreamId> streams;
-  streams.reserve(buffers_.size());
-  for (const auto& [stream, buffer] : buffers_) {
-    streams.push_back(stream);
-  }
+  ActiveStreamsInto(&streams);
   return streams;
+}
+
+void ClawbackBank::ActiveStreamsInto(std::vector<StreamId>* out) const {
+  out->clear();
+  out->reserve(buffers_.size());
+  for (const auto& [stream, buffer] : buffers_) {
+    out->push_back(stream);
+  }
 }
 
 std::optional<AudioBlock> ClawbackBank::Pop(StreamId stream) {
@@ -186,7 +218,7 @@ std::optional<AudioBlock> ClawbackBank::Pop(StreamId stream) {
     retired_.limit_drops += s.limit_drops;
     retired_.pool_drops += s.pool_drops;
     retired_.max_depth = std::max(retired_.max_depth, s.max_depth);
-    buffers_.erase(it);
+    spare_.push_back(buffers_.extract(it));
     ++deactivations_;
   }
   return block;

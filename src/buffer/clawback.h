@@ -31,12 +31,12 @@
 #define PANDORA_SRC_BUFFER_CLAWBACK_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/buffer/ring_queue.h"
 #include "src/control/report.h"
 #include "src/runtime/time.h"
 #include "src/trace/trace.h"
@@ -134,6 +134,10 @@ class ClawbackBuffer {
   // of their own, so the owner supplies the recorder.
   void BindTrace(TraceRecorder* trace, const std::string& bank_prefix);
 
+  // Turns an empty buffer into a fresh one for `stream` (stats, clawback
+  // state and trace binding reset) while keeping its block storage.
+  void Reuse(StreamId stream);
+
  private:
   bool AboveTarget() const {
     return blocks_.size() > static_cast<size_t>(config_.lower_target_blocks);
@@ -145,7 +149,7 @@ class ClawbackBuffer {
   ClawbackConfig config_;
   ClawbackPool* pool_;
   Reporter* reporter_;
-  std::deque<AudioBlock> blocks_;
+  RingQueue<AudioBlock> blocks_;
 
   // Single-rate state.
   uint32_t above_target_count_ = 0;
@@ -172,8 +176,10 @@ class ClawbackBank {
 
   ClawbackPushResult Push(StreamId stream, const AudioBlock& block);
 
-  // Returns the streams the mixer should read this cycle.
+  // Returns the streams the mixer should read this cycle, in stream order.
   std::vector<StreamId> ActiveStreams() const;
+  // Same, into `*out` (cleared first; its capacity is reused).
+  void ActiveStreamsInto(std::vector<StreamId>* out) const;
 
   // Pops a block for mixing; an empty result deactivates the stream.
   std::optional<AudioBlock> Pop(StreamId stream);
@@ -197,7 +203,11 @@ class ClawbackBank {
   ClawbackConfig config_;
   ClawbackPool pool_;
   Reporter* reporter_;
-  std::map<StreamId, ClawbackBuffer> buffers_;
+  using BufferMap = std::map<StreamId, ClawbackBuffer>;
+  BufferMap buffers_;
+  // Deactivated buffers, map node and block storage intact, waiting to be
+  // reused by the next activation instead of allocating a new pair.
+  std::vector<BufferMap::node_type> spare_;
   ClawbackBuffer::Stats retired_;
   uint64_t activations_ = 0;
   uint64_t deactivations_ = 0;

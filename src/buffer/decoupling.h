@@ -20,10 +20,10 @@
 #define PANDORA_SRC_BUFFER_DECOUPLING_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "src/buffer/pool.h"
+#include "src/buffer/ring_queue.h"
 #include "src/buffer/small_vec.h"
 #include "src/control/command.h"
 #include "src/control/report.h"
@@ -111,7 +111,7 @@ class DecouplingBuffer {
   Channel<SegmentRef> dispatch_;
   Channel<bool> idle_;
 
-  std::deque<SegmentRef> queue_;
+  RingQueue<SegmentRef> queue_;
   bool sender_idle_ = true;
   bool owe_ready_ = false;  // we replied FALSE and owe a deferred TRUE
   bool started_ = false;

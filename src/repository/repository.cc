@@ -133,7 +133,7 @@ Process Repository::PlayProc(Recording* recording, StreamId as_stream, Channel<S
         // Re-time the unpacked segment onto the playback clock.
         Time offset = live.source_time() - base;
         SegmentRef ref = co_await pool->Allocate();
-        *ref = std::move(live);
+        *ref = live;  // copy-assign: the pooled slot keeps its capacity
         ref->stream = as_stream;
         ref->header.sequence = sequence++;
         ref->header.timestamp = ToTimestampTicks(start + offset);
@@ -151,7 +151,7 @@ Process Repository::PlayProc(Recording* recording, StreamId as_stream, Channel<S
   }
   if (auto tail = unpacker.Flush()) {
     SegmentRef ref = co_await pool->Allocate();
-    *ref = std::move(*tail);
+    *ref = *tail;
     ref->stream = as_stream;
     ref->header.sequence = sequence++;
     co_await out->Send(std::move(ref));

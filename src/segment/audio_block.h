@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/runtime/time.h"
@@ -22,23 +23,25 @@ struct AudioBlock {
   Time source_time = 0;
 };
 
-// Splits an audio segment's payload into 2ms blocks, reconstructing each
-// block's source time from the segment timestamp.  A trailing partial block
-// (possible after single-sample loss recovery) is dropped.
+// Block `b` of an audio segment's payload (b < payload.size() /
+// kAudioBlockBytes), with its source time reconstructed from the segment
+// timestamp.  Walking b upward visits the blocks without materializing them.
+inline AudioBlock AudioBlockAt(const Segment& segment, size_t b) {
+  AudioBlock block;
+  std::memcpy(block.samples.data(), segment.payload.data() + b * kAudioBlockBytes,
+              kAudioBlockBytes);
+  block.source_time = segment.source_time() + static_cast<Duration>(b) * kAudioBlockDuration;
+  return block;
+}
+
+// Splits an audio segment's payload into 2ms blocks.  A trailing partial
+// block (possible after single-sample loss recovery) is dropped.
 inline std::vector<AudioBlock> SplitIntoBlocks(const Segment& segment) {
   std::vector<AudioBlock> blocks;
   const size_t whole = segment.payload.size() / kAudioBlockBytes;
   blocks.reserve(whole);
-  Time t = segment.source_time();
   for (size_t b = 0; b < whole; ++b) {
-    AudioBlock block;
-    for (int i = 0; i < kAudioBlockBytes; ++i) {
-      block.samples[static_cast<size_t>(i)] =
-          segment.payload[b * kAudioBlockBytes + static_cast<size_t>(i)];
-    }
-    block.source_time = t;
-    blocks.push_back(block);
-    t += kAudioBlockDuration;
+    blocks.push_back(AudioBlockAt(segment, b));
   }
   return blocks;
 }

@@ -139,6 +139,16 @@ Segment MakeAudioSegment(StreamId stream, uint32_t sequence, Time source_time,
 Segment MakeVideoSegment(StreamId stream, uint32_t sequence, Time source_time,
                          const VideoHeader& vh, std::vector<uint8_t> data);
 
+// In-place forms of the two Make*Segment functions: every field of
+// `*segment` ends up as the matching Make*Segment would set it, but the
+// payload is copied into the existing vector, whose heap capacity is kept.
+// Filling a recycled pool slot therefore allocates nothing in steady state,
+// where `*ref = Make*Segment(...)` would throw the slot's payload away.
+void FillAudioSegment(Segment* segment, StreamId stream, uint32_t sequence, Time source_time,
+                      const uint8_t* samples, size_t size);
+void FillVideoSegment(Segment* segment, StreamId stream, uint32_t sequence, Time source_time,
+                      const VideoHeader& vh, const uint8_t* data, size_t size);
+
 // Human-readable one-line description (for reports/logs).
 std::string DescribeSegment(const Segment& segment);
 

@@ -47,11 +47,11 @@ class Reader {
   size_t pos_ = 0;
 };
 
-DecodeResult Fail(std::string error) {
-  DecodeResult result;
-  result.ok = false;
-  result.error = std::move(error);
-  return result;
+bool Fail(const char* message, const char** error) {
+  if (error != nullptr) {
+    *error = message;
+  }
+  return false;
 }
 
 }  // namespace
@@ -106,16 +106,15 @@ std::vector<uint8_t> EncodeSegment(const Segment& segment, StreamField stream_fi
   return out;
 }
 
-DecodeResult DecodeSegment(const std::vector<uint8_t>& bytes, StreamField stream_field,
-                           StreamId vci_stream) {
+bool DecodeSegmentInto(const std::vector<uint8_t>& bytes, StreamField stream_field,
+                       StreamId vci_stream, Segment* out, const char** error) {
   Reader reader(bytes);
-  DecodeResult result;
-  Segment& segment = result.segment;
+  Segment& segment = *out;
 
   if (stream_field == StreamField::kIncluded) {
     uint32_t stream = 0;
     if (!reader.GetU32(&stream)) {
-      return Fail("truncated stream field");
+      return Fail("truncated stream field", error);
     }
     segment.stream = stream;
   } else {
@@ -127,10 +126,10 @@ DecodeResult DecodeSegment(const std::vector<uint8_t>& bytes, StreamField stream
   if (!reader.GetU32(&segment.header.version_id) || !reader.GetU32(&segment.header.sequence) ||
       !reader.GetU32(&segment.header.timestamp) || !reader.GetU32(&type_raw) ||
       !reader.GetU32(&length)) {
-    return Fail("truncated common header");
+    return Fail("truncated common header", error);
   }
   if (segment.header.version_id != kSegmentVersionId) {
-    return Fail("bad version id");
+    return Fail("bad version id", error);
   }
   segment.header.type = static_cast<SegmentType>(type_raw);
   segment.header.length = length;
@@ -143,18 +142,19 @@ DecodeResult DecodeSegment(const std::vector<uint8_t>& bytes, StreamField stream
       uint32_t data_length = 0;
       if (!reader.GetU32(&audio.sampling_rate) || !reader.GetU32(&format) ||
           !reader.GetU32(&compression) || !reader.GetU32(&data_length)) {
-        return Fail("truncated audio header");
+        return Fail("truncated audio header", error);
       }
       audio.format = static_cast<AudioFormat>(format);
       audio.compression = static_cast<AudioCoding>(compression);
       audio.data_length = data_length;
       if (data_length != reader.remaining()) {
-        return Fail("audio data length mismatch");
+        return Fail("audio data length mismatch", error);
       }
       if (!reader.GetBytes(data_length, &segment.payload)) {
-        return Fail("truncated audio data");
+        return Fail("truncated audio data", error);
       }
       segment.sub = audio;
+      segment.compression_args.clear();
       break;
     }
     case SegmentType::kVideo: {
@@ -166,51 +166,64 @@ DecodeResult DecodeSegment(const std::vector<uint8_t>& bytes, StreamField stream
           !reader.GetU32(&video.segment_number) || !reader.GetU32(&video.x_offset) ||
           !reader.GetU32(&video.y_offset) || !reader.GetU32(&pixel_format) ||
           !reader.GetU32(&compression) || !reader.GetU32(&argument_count)) {
-        return Fail("truncated video header");
+        return Fail("truncated video header", error);
       }
       if (argument_count > 64) {
-        return Fail("unreasonable compression argument count");
+        return Fail("unreasonable compression argument count", error);
       }
       segment.compression_args.resize(argument_count);
       for (uint32_t i = 0; i < argument_count; ++i) {
         if (!reader.GetU32(&segment.compression_args[i])) {
-          return Fail("truncated compression arguments");
+          return Fail("truncated compression arguments", error);
         }
       }
       uint32_t data_length = 0;
       if (!reader.GetU32(&video.x_width) || !reader.GetU32(&video.start_line_y) ||
           !reader.GetU32(&video.line_count) || !reader.GetU32(&data_length)) {
-        return Fail("truncated video geometry");
+        return Fail("truncated video geometry", error);
       }
       video.pixel_format = static_cast<PixelFormat>(pixel_format);
       video.compression_type = static_cast<VideoCoding>(compression);
       video.data_length = data_length;
       if (video.segments_in_frame == 0 || video.segment_number >= video.segments_in_frame) {
-        return Fail("bad segment-in-frame numbering");
+        return Fail("bad segment-in-frame numbering", error);
       }
       if (data_length != reader.remaining()) {
-        return Fail("video data length mismatch");
+        return Fail("video data length mismatch", error);
       }
       if (!reader.GetBytes(data_length, &segment.payload)) {
-        return Fail("truncated video data");
+        return Fail("truncated video data", error);
       }
       segment.sub = video;
       break;
     }
     case SegmentType::kTest: {
       if (!reader.GetBytes(reader.remaining(), &segment.payload)) {
-        return Fail("truncated test data");
+        return Fail("truncated test data", error);
       }
+      segment.sub = std::monostate{};
+      segment.compression_args.clear();
       break;
     }
     default:
-      return Fail("unknown segment type");
+      return Fail("unknown segment type", error);
   }
 
   if (segment.EncodedSize() != length) {
-    return Fail("common header length disagrees with contents");
+    return Fail("common header length disagrees with contents", error);
   }
-  result.ok = true;
+  return true;
+}
+
+DecodeResult DecodeSegment(const std::vector<uint8_t>& bytes, StreamField stream_field,
+                           StreamId vci_stream) {
+  DecodeResult result;
+  const char* error = nullptr;
+  result.ok = DecodeSegmentInto(bytes, stream_field, vci_stream, &result.segment, &error);
+  if (!result.ok) {
+    result.error = error;
+    result.segment = Segment();
+  }
   return result;
 }
 

@@ -62,9 +62,18 @@ struct DecodeResult {
   Segment segment;
 };
 
-// Decodes bytes back into a segment, validating version id, type, length
+// Decodes bytes back into `*out`, validating version id, type, length
 // consistency and header/data agreement.  When the stream field is omitted,
-// pass the stream id recovered from the VCI.
+// pass the stream id recovered from the VCI.  Every field of `*out` is
+// rewritten, and its payload and compression-argument vectors keep their
+// heap capacity, so decoding into a reused Segment allocates nothing in
+// steady state.  On failure returns false, points `*error` (when non-null)
+// at a static description, and leaves `*out` unspecified.
+bool DecodeSegmentInto(const std::vector<uint8_t>& bytes, StreamField stream_field,
+                       StreamId vci_stream, Segment* out, const char** error = nullptr);
+
+// Convenience wrapper decoding into a fresh segment (default-constructed
+// on failure).
 DecodeResult DecodeSegment(const std::vector<uint8_t>& bytes,
                            StreamField stream_field = StreamField::kIncluded,
                            StreamId vci_stream = kInvalidStream);

@@ -1,5 +1,7 @@
 #include "src/server/netio.h"
 
+#include <utility>
+
 #include "src/runtime/check.h"
 #include "src/segment/wire.h"
 #include "src/trace/trace.h"
@@ -236,14 +238,17 @@ Process NetworkInput::Run() {
       NetRx in = std::move(batch[i]);
       // The ONE decode on the whole path (DESIGN.md §9), done BEFORE taking
       // a buffer so malformed wire images cannot consume this box's pool.
-      DecodeResult decoded = DecodeSegment(in.wire->bytes, StreamField::kOmitted, in.vci);
+      // It lands in a scratch segment this process owns; see the swap below.
+      const char* error = nullptr;
+      const bool ok =
+          DecodeSegmentInto(in.wire->bytes, StreamField::kOmitted, in.vci, &scratch_, &error);
       in.wire.Reset();  // encoded bytes go back to the source port's pool
-      if (!decoded.ok) {
+      if (!ok) {
         // Bit corruption or truncation in flight: the self-describing header
         // let us reject it here.  Count, report, drop — the sequence gap is
         // absorbed downstream by the clawback buffer.
         ++decode_failures_;
-        reporter_.Report("netin.decode_failure", ReportSeverity::kWarning, decoded.error,
+        reporter_.Report("netin.decode_failure", ReportSeverity::kWarning, error,
                          static_cast<int64_t>(in.vci));
         PANDORA_TRACE_COUNTER(sched_->trace(), trace_decode_fail_,
                               options_.name + ".decode_failures",
@@ -260,7 +265,9 @@ Process NetworkInput::Run() {
       } else {
         ref = co_await pool_->Allocate();
       }
-      *ref = std::move(decoded.segment);
+      // Swap, not assign: the slot's recycled vectors become the next
+      // scratch, so payload capacity circulates instead of being freed.
+      std::swap(*ref, scratch_);
       ++received_;
       if (deep_copies_ != nullptr) {
         ++*deep_copies_;

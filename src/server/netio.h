@@ -163,6 +163,8 @@ class NetworkInput {
   BufferPool* pool_;
   Channel<SegmentRef>* to_switch_;
   Reporter reporter_;
+  // Decode target: swapped into the pool slot once the decode succeeds.
+  Segment scratch_;
   uint64_t* deep_copies_ = nullptr;
   uint64_t received_ = 0;
   uint64_t decode_failures_ = 0;

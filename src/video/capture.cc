@@ -58,9 +58,6 @@ Task<void> VideoCapture::CaptureFrame(uint32_t frame_number) {
   const int strip_height =
       (options_.rect.height + options_.segments_per_frame - 1) / options_.segments_per_frame;
   int emitted = 0;
-  // Last line of the previous strip, for vertical-delta coding of the next
-  // strip's first line (the display reconstructs it from its line cache).
-  std::vector<uint8_t> prev_strip_last_line;
   for (int strip = 0; strip < options_.segments_per_frame; ++strip) {
     const int y0 = options_.rect.y + strip * strip_height;
     const int lines = std::min(strip_height, options_.rect.y + options_.rect.height - y0);
@@ -68,35 +65,34 @@ Task<void> VideoCapture::CaptureFrame(uint32_t frame_number) {
       break;
     }
     Rect strip_rect{options_.rect.x, y0, options_.rect.width, lines};
+    const size_t width = static_cast<size_t>(strip_rect.width);
     // "The reading of the blocks is carefully timed" — never tears.
-    FrameStore::ReadResult read = co_await store_->ReadRectangleSafe(strip_rect);
+    co_await store_->ReadRectangleSafe(strip_rect, &read_);
 
-    // Compress line by line.  The strip's first line self-codes on the
-    // frame's first strip; later strips vertically code against the last
-    // line of the previous strip (resolved by the display's line cache).
-    std::vector<uint8_t> data;
-    const uint8_t* previous_line = nullptr;
+    // Compress line by line into the strip scratch.  The strip's first line
+    // self-codes on the frame's first strip; later strips vertically code
+    // against the last line of the previous strip (resolved by the
+    // display's line cache).
+    const bool cross_strip = strip > 0 && !prev_strip_last_line_.empty();
+    // Room for the widest coding; trimmed to what was written below.
+    strip_.resize(static_cast<size_t>(lines) *
+                  CompressedLineSize(LineCoding::kRawLine, strip_rect.width));
+    size_t written = 0;
     for (int line = 0; line < lines; ++line) {
-      const uint8_t* pixels = read.pixels.data() + static_cast<size_t>(line) * strip_rect.width;
-      LineCoding coding;
+      const uint8_t* pixels = read_.pixels.data() + static_cast<size_t>(line) * width;
+      LineCoding coding = options_.coding;  // self-coded: no cross-segment state
       const uint8_t* above = nullptr;
-      if (line == 0) {
-        if (strip == 0 || prev_strip_last_line.empty()) {
-          coding = options_.coding;  // self-coded: no cross-segment state
-        } else {
-          coding = LineCoding::kVerticalDelta;
-          above = prev_strip_last_line.data();
-        }
-      } else {
-        coding = options_.coding;
-        above = previous_line;
+      if (line > 0) {
+        above = pixels - width;
+      } else if (cross_strip) {
+        coding = LineCoding::kVerticalDelta;
+        above = prev_strip_last_line_.data();
       }
-      std::vector<uint8_t> compressed = CompressLine(coding, pixels, strip_rect.width, above);
-      data.insert(data.end(), compressed.begin(), compressed.end());
-      previous_line = pixels;
+      written += CompressLineInto(coding, pixels, strip_rect.width, above, strip_.data() + written);
     }
-    prev_strip_last_line.assign(
-        read.pixels.end() - strip_rect.width, read.pixels.end());
+    strip_.resize(written);
+    prev_strip_last_line_.assign(read_.pixels.end() - static_cast<ptrdiff_t>(width),
+                                 read_.pixels.end());
 
     // Transport through the slice pipeline: descriptions over the link,
     // data through the fifo + non-draining compression engine.
@@ -110,14 +106,14 @@ Task<void> VideoCapture::CaptureFrame(uint32_t frame_number) {
       size_t slice_bytes = 0;
       for (int l = 0; l < slice_lines; ++l) {
         // Sizes are deterministic per coding; header byte included.
-        LineCoding lc = static_cast<LineCoding>(data[offset + slice_bytes]);
+        LineCoding lc = static_cast<LineCoding>(strip_[offset + slice_bytes]);
         slice_bytes += CompressedLineSize(lc, strip_rect.width);
       }
-      std::vector<uint8_t> slice(data.begin() + static_cast<ptrdiff_t>(offset),
-                                 data.begin() + static_cast<ptrdiff_t>(offset + slice_bytes));
+      slice_.assign(strip_.begin() + static_cast<ptrdiff_t>(offset),
+                    strip_.begin() + static_cast<ptrdiff_t>(offset + slice_bytes));
       offset += slice_bytes;
       lines_left -= slice_lines;
-      compressor_.Push(std::move(slice));
+      PushSlice();
       holdback_.Push(SliceDesc{SliceKind::kSliceDesc, options_.stream, sequence_,
                                static_cast<uint32_t>(slice_lines),
                                static_cast<uint32_t>(slice_bytes)});
@@ -127,7 +123,8 @@ Task<void> VideoCapture::CaptureFrame(uint32_t frame_number) {
     holdback_.Push(SliceDesc{SliceKind::kTailDesc, options_.stream, sequence_, 0, 0});
     // Dummy flush: pushes the last real slice out of the engine; its own
     // description is held back until the next segment's data arrives.
-    compressor_.Push(std::vector<uint8_t>());
+    slice_.clear();
+    PushSlice();
     holdback_.Push(SliceDesc{SliceKind::kDummyDesc, options_.stream, sequence_, 2, 0});
     co_await sched_->WaitFor(2 * options_.per_line_cost);
 
@@ -150,7 +147,8 @@ Task<void> VideoCapture::CaptureFrame(uint32_t frame_number) {
     vh.line_count = static_cast<uint32_t>(lines);
 
     SegmentRef ref = co_await pool_->Allocate();
-    *ref = MakeVideoSegment(options_.stream, sequence_++, sched_->now(), vh, std::move(data));
+    FillVideoSegment(ref.get(), options_.stream, sequence_++, sched_->now(), vh, strip_.data(),
+                     strip_.size());
     ref->compression_args = {static_cast<uint32_t>(options_.coding)};
     ref->header.length = static_cast<uint32_t>(ref->EncodedSize());
     bytes_sent_ += ref->EncodedSize();
@@ -161,6 +159,11 @@ Task<void> VideoCapture::CaptureFrame(uint32_t frame_number) {
   if (emitted > 0) {
     ++frames_captured_;
   }
+}
+
+void VideoCapture::PushSlice() {
+  std::optional<std::vector<uint8_t>> emerged = compressor_.Push(std::move(slice_));
+  slice_ = emerged.has_value() ? std::move(*emerged) : std::vector<uint8_t>();
 }
 
 Process VideoCapture::Run() {

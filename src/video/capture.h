@@ -65,6 +65,9 @@ class VideoCapture {
   Process Run();
   Task<void> CaptureFrame(uint32_t frame_number);
   void HandleCommand(const Command& command);
+  // Pushes slice_ into the compression engine; the slice that emerges
+  // becomes the next slice_, so slice storage circulates.
+  void PushSlice();
 
   Scheduler* sched_;
   VideoCaptureOptions options_;
@@ -77,6 +80,14 @@ class VideoCapture {
 
   PipelinedCompressor compressor_;
   SliceHoldbackBuffer holdback_;
+
+  // Scratch reused strip after strip: the framestore read, the compressed
+  // strip, the slice being pushed, and the previous strip's last line (the
+  // vertical-delta reference for the next strip's first line).
+  FrameStore::ReadResult read_;
+  std::vector<uint8_t> strip_;
+  std::vector<uint8_t> slice_;
+  std::vector<uint8_t> prev_strip_last_line_;
 
   bool producing_;
   int rate_accumulator_ = 0;

@@ -1,6 +1,7 @@
 #include "src/video/display.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/runtime/check.h"
 
@@ -32,12 +33,23 @@ bool VideoDisplay::DecompressInto(const Segment& segment, Assembly* assembly) {
   const VideoHeader& vh = segment.video();
   const int width = static_cast<int>(vh.x_width);
   const int lines = static_cast<int>(vh.line_count);
-  Part part;
+  if (width < 0 || lines < 0) {
+    return false;
+  }
+  if (assembly->part_count == assembly->parts.size()) {
+    assembly->parts.emplace_back();
+  }
+  Part& part = assembly->parts[assembly->part_count];
   part.rect = {static_cast<int>(vh.x_offset), static_cast<int>(vh.start_line_y), width, lines};
-  part.pixels.reserve(static_cast<size_t>(width) * static_cast<size_t>(lines));
+  // Each line takes at least its subsampled size, so no more rows than the
+  // payload can hold will be written; sizing by that bound keeps a damaged
+  // header's line count from reserving memory the decode never reaches.
+  const size_t row_bytes = static_cast<size_t>(width);
+  const size_t min_line = CompressedLineSize(LineCoding::kSubsampledDpcmLine, width);
+  const size_t rows = std::min(static_cast<size_t>(lines), segment.payload.size() / min_line);
+  part.pixels.resize(rows * row_bytes);
 
   size_t offset = 0;
-  std::vector<uint8_t> previous_line;
   for (int line = 0; line < lines; ++line) {
     if (offset >= segment.payload.size()) {
       return false;
@@ -47,33 +59,30 @@ bool VideoDisplay::DecompressInto(const Segment& segment, Assembly* assembly) {
     if (line_size == 0 || offset + line_size > segment.payload.size()) {
       return false;
     }
-    std::vector<uint8_t> bytes(segment.payload.begin() + static_cast<ptrdiff_t>(offset),
-                               segment.payload.begin() + static_cast<ptrdiff_t>(offset + line_size));
-    offset += line_size;
-
+    uint8_t* row = part.pixels.data() + static_cast<size_t>(line) * row_bytes;
     const uint8_t* above = nullptr;
     if (coding == LineCoding::kVerticalDelta) {
       if (line == 0) {
         // Cross-segment vertical interpolation: reload the engine from the
         // per-stream software cache (the paper's choice 3).
         const std::vector<uint8_t>* cached = line_cache_.Fetch(segment.stream);
-        if (cached == nullptr || cached->size() != static_cast<size_t>(width)) {
+        if (cached == nullptr || cached->size() != row_bytes) {
           return false;  // interpolation state lost (e.g. after a gap)
         }
-        above = cached->data();
-      } else {
-        above = previous_line.data();
+        above = cached->empty() ? nullptr : cached->data();
+      } else if (width > 0) {
+        above = row - row_bytes;
       }
     }
-    DecompressedLine decoded = DecompressLine(bytes, width, above);
-    if (!decoded.ok) {
+    if (!DecompressLineInto(segment.payload.data() + offset, line_size, width, above, row)) {
       return false;
     }
-    part.pixels.insert(part.pixels.end(), decoded.pixels.begin(), decoded.pixels.end());
-    previous_line = std::move(decoded.pixels);
+    offset += line_size;
   }
-  line_cache_.Store(segment.stream, previous_line);
-  assembly->parts.push_back(std::move(part));
+  // The last row is the interpolation state for the stream's next segment.
+  const size_t last = lines > 0 ? row_bytes : 0;
+  line_cache_.Store(segment.stream, part.pixels.data() + part.pixels.size() - last, last);
+  ++assembly->part_count;
   return true;
 }
 
@@ -81,9 +90,10 @@ Task<void> VideoDisplay::DisplayFrame(StreamId stream, Assembly& assembly) {
   // Union of rows touched, for scan avoidance.
   int top = options_.height;
   int bottom = 0;
-  for (const Part& part : assembly.parts) {
-    top = std::min(top, part.rect.y);
-    bottom = std::max(bottom, part.rect.y + part.rect.height);
+  for (size_t i = 0; i < assembly.part_count; ++i) {
+    const Rect& rect = assembly.parts[i].rect;
+    top = std::min(top, rect.y);
+    bottom = std::max(bottom, rect.y + rect.height);
   }
 
   if (!options_.scan_aware_copy) {
@@ -104,20 +114,23 @@ Task<void> VideoDisplay::DisplayFrame(StreamId stream, Assembly& assembly) {
   // or before the scan reaches it, so the copy never tears.
 
   co_await sched_->WaitFor(options_.copy_duration);
-  for (const Part& part : assembly.parts) {
+  for (size_t i = 0; i < assembly.part_count; ++i) {
+    const Part& part = assembly.parts[i];
+    // Clip the part's columns to the screen once, then copy row spans.
+    const int64_t x0 = std::max<int64_t>(part.rect.x, 0);
+    const int64_t x1 = std::min<int64_t>(int64_t{part.rect.x} + part.rect.width, options_.width);
+    if (x0 >= x1) {
+      continue;
+    }
     for (int row = 0; row < part.rect.height; ++row) {
-      int y = part.rect.y + row;
+      const int64_t y = int64_t{part.rect.y} + row;
       if (y < 0 || y >= options_.height) {
         continue;
       }
-      for (int col = 0; col < part.rect.width; ++col) {
-        int x = part.rect.x + col;
-        if (x < 0 || x >= options_.width) {
-          continue;
-        }
-        screen_[static_cast<size_t>(y) * options_.width + static_cast<size_t>(x)] =
-            part.pixels[static_cast<size_t>(row) * part.rect.width + static_cast<size_t>(col)];
-      }
+      std::memcpy(screen_.data() + y * options_.width + x0,
+                  part.pixels.data() + static_cast<size_t>(row) * part.rect.width +
+                      (x0 - part.rect.x),
+                  static_cast<size_t>(x1 - x0));
     }
   }
   ++frames_displayed_;
@@ -159,11 +172,13 @@ Task<void> VideoDisplay::HandleSegment(SegmentRef ref) {
       reporter_.Report("display.incomplete", ReportSeverity::kWarning,
                        "frame dropped with missing segments", assembly.frame_number);
     }
-    assembly = Assembly();
     assembly.frame_number = vh.frame_number;
     assembly.segments_expected = vh.segments_in_frame;
+    assembly.segments_received = 0;
     assembly.first_segment_time = segment.source_time();
+    assembly.part_count = 0;
     assembly.have_segment.assign(vh.segments_in_frame, false);
+    assembly.poisoned = false;
   }
   if (vh.segment_number >= assembly.have_segment.size() ||
       assembly.have_segment[vh.segment_number]) {
@@ -185,7 +200,9 @@ Task<void> VideoDisplay::HandleSegment(SegmentRef ref) {
     } else {
       ++frames_dropped_incomplete_;
     }
-    assemblies_.erase(segment.stream);
+    // Frame closed; the storage stays for the stream's next frame.
+    // Re-fetched: DisplayFrame suspended.
+    assemblies_[segment.stream].have_segment.clear();
   }
 }
 

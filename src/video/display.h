@@ -72,14 +72,18 @@ class VideoDisplay {
     Rect rect;
     std::vector<uint8_t> pixels;
   };
+  // One stream's in-flight frame.  The storage outlives the frame: the
+  // next frame on the stream overwrites the parts (and their pixel
+  // buffers) in place.
   struct Assembly {
     uint32_t frame_number = 0;
     uint32_t segments_expected = 0;
     uint32_t segments_received = 0;
     Time first_segment_time = 0;
-    std::vector<Part> parts;
-    std::vector<bool> have_segment;
-    bool poisoned = false;  // an undecodable segment: never display
+    std::vector<Part> parts;  // the first part_count are this frame's
+    size_t part_count = 0;
+    std::vector<bool> have_segment;  // empty: no frame in flight
+    bool poisoned = false;           // an undecodable segment: never display
   };
 
   Process Run();

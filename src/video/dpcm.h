@@ -38,23 +38,34 @@ enum class LineCoding : uint8_t {
   kVerticalDelta = 3,  // residuals against the line above
 };
 
-// Compresses one line of `width` pixels.  For kVerticalDelta, `above` must
-// point at the previous line (same width).
+// Encoded size of a line for a given coding (0 for an unknown coding).
+size_t CompressedLineSize(LineCoding coding, int width);
+
+// Compresses one line of `width` pixels into `out`, which must have room for
+// CompressedLineSize(coding, width) bytes; returns the bytes written.  For
+// kVerticalDelta, `above` must point at the previous line (same width).
+size_t CompressLineInto(LineCoding coding, const uint8_t* pixels, int width,
+                        const uint8_t* above, uint8_t* out);
+
+// Convenience wrapper allocating a fresh vector.
 std::vector<uint8_t> CompressLine(LineCoding coding, const uint8_t* pixels, int width,
                                   const uint8_t* above = nullptr);
 
+// Decompresses the `size`-byte coded line at `bytes` into `width` pixels at
+// `out`.  False if the line is empty, its size disagrees with its coding
+// header, or it is kVerticalDelta and `above` (the interpolation-hardware
+// state the cache reloads) is missing; `out` is then unspecified.
+bool DecompressLineInto(const uint8_t* bytes, size_t size, int width, const uint8_t* above,
+                        uint8_t* out);
+
 struct DecompressedLine {
   bool ok = false;
-  std::vector<uint8_t> pixels;
+  std::vector<uint8_t> pixels;  // empty unless ok
 };
 
-// Decompresses one line; `above` is required for kVerticalDelta (this is
-// the interpolation-hardware state the cache reloads).
+// Convenience wrapper allocating a fresh vector.
 DecompressedLine DecompressLine(const std::vector<uint8_t>& bytes, int width,
                                 const uint8_t* above = nullptr);
-
-// Encoded size of a line for a given coding.
-size_t CompressedLineSize(LineCoding coding, int width);
 
 // "Maintain a software cache of the last line processed on each stream, and
 // reload the interpolation hardware whenever we interleave segments."
@@ -62,6 +73,10 @@ class LastLineCache {
  public:
   // Called after a segment's last line decompresses.
   void Store(StreamId stream, std::vector<uint8_t> line) { lines_[stream] = std::move(line); }
+  // Same, copying `n` pixels into the cached line's existing capacity.
+  void Store(StreamId stream, const uint8_t* line, size_t n) {
+    lines_[stream].assign(line, line + n);
+  }
 
   // Called before decompressing a segment's first line; counts a hardware
   // reload when the previous segment processed belonged to another stream.

@@ -9,39 +9,32 @@ FrameStore::FrameStore(Scheduler* sched, const FramePattern* pattern, int width,
   PANDORA_CHECK(width > 0 && height > 0);
 }
 
-uint8_t FrameStore::PixelAtTime(Time t, int x, int y) const {
-  // Rows at or above the camera scan hold the frame being written; rows
-  // below still hold the previous frame.
-  uint32_t writing = FrameAt(t);
-  int scan = ScanLineAt(t);
-  uint32_t frame = (y < scan) ? writing : (writing == 0 ? 0 : writing - 1);
-  return pattern_->PixelAt(frame, x, y);
-}
-
-FrameStore::ReadResult FrameStore::ReadRectangleNow(const Rect& rect) const {
-  PANDORA_CHECK(rect.x >= 0 && rect.y >= 0);
+void FrameStore::ReadRectangleNow(const Rect& rect, ReadResult* out) const {
+  PANDORA_CHECK(rect.x >= 0 && rect.y >= 0 && rect.width >= 0 && rect.height >= 0);
   PANDORA_CHECK(rect.x + rect.width <= width_ && rect.y + rect.height <= height_);
-  Time now = sched_->now();
-  ReadResult result;
-  result.pixels.reserve(static_cast<size_t>(rect.width) * static_cast<size_t>(rect.height));
+  // Rows above the camera scan hold the frame being written; rows at or
+  // below it still hold the previous frame.
+  const Time now = sched_->now();
+  const uint32_t writing = FrameAt(now);
+  const uint32_t previous = writing == 0 ? 0 : writing - 1;
+  const int scan = ScanLineAt(now);
+  out->pixels.resize(static_cast<size_t>(rect.width) * static_cast<size_t>(rect.height));
   for (int row = 0; row < rect.height; ++row) {
-    for (int col = 0; col < rect.width; ++col) {
-      result.pixels.push_back(PixelAtTime(now, rect.x + col, rect.y + row));
-    }
+    const int y = rect.y + row;
+    pattern_->FillRow(y < scan ? writing : previous, rect.x, y, rect.width,
+                      out->pixels.data() + static_cast<size_t>(row) * rect.width);
   }
-  int scan = ScanLineAt(now);
-  result.torn = scan > rect.y && scan < rect.y + rect.height;
-  uint32_t writing = FrameAt(now);
-  result.frame = (rect.y < scan) ? writing : (writing == 0 ? 0 : writing - 1);
-  return result;
+  out->torn = scan > rect.y && scan < rect.y + rect.height;
+  out->frame = rect.y < scan ? writing : previous;
 }
 
-Task<FrameStore::ReadResult> FrameStore::ReadRectangleSafe(Rect rect) {
+Task<void> FrameStore::ReadRectangleSafe(Rect rect, ReadResult* out) {
   for (;;) {
     Time now = sched_->now();
     int scan = ScanLineAt(now);
     if (scan <= rect.y || scan >= rect.y + rect.height) {
-      co_return ReadRectangleNow(rect);
+      ReadRectangleNow(rect, out);
+      co_return;
     }
     // Wait for the scan to leave the rectangle's rows: it exits at the time
     // the camera reaches the row past the bottom edge (ceiling division —

@@ -30,6 +30,12 @@ class FramePattern {
  public:
   virtual ~FramePattern() = default;
   virtual uint8_t PixelAt(uint32_t frame, int x, int y) const = 0;
+  // Writes PixelAt(frame, x + i, y) to out[i] for i in [0, width).
+  virtual void FillRow(uint32_t frame, int x, int y, int width, uint8_t* out) const {
+    for (int i = 0; i < width; ++i) {
+      out[i] = PixelAt(frame, x + i, y);
+    }
+  }
 };
 
 // A bright vertical bar sweeping across a dim gradient: motion parallel to
@@ -40,7 +46,19 @@ class MovingBarPattern : public FramePattern {
       : width_(width), bar_width_(bar_width), step_(step_per_frame) {}
 
   uint8_t PixelAt(uint32_t frame, int x, int y) const override {
-    int bar_x = static_cast<int>(frame) * step_ % width_;
+    return Shade(BarX(frame), x, y);
+  }
+
+  void FillRow(uint32_t frame, int x, int y, int width, uint8_t* out) const override {
+    const int bar_x = BarX(frame);
+    for (int i = 0; i < width; ++i) {
+      out[i] = Shade(bar_x, x + i, y);
+    }
+  }
+
+ private:
+  int BarX(uint32_t frame) const { return static_cast<int>(frame) * step_ % width_; }
+  uint8_t Shade(int bar_x, int x, int y) const {
     int dx = x - bar_x;
     if (dx < 0) {
       dx += width_;
@@ -51,7 +69,6 @@ class MovingBarPattern : public FramePattern {
     return static_cast<uint8_t>(16 + (x + y) % 64);
   }
 
- private:
   int width_;
   int bar_width_;
   int step_;
@@ -79,6 +96,8 @@ class FrameStore {
     return static_cast<int>(in_frame * height_ / kFramePeriod);
   }
 
+  // A read's destination, owned by the caller: reading into the same
+  // result again reuses the pixel buffer's capacity.
   struct ReadResult {
     std::vector<uint8_t> pixels;  // row-major rect.width x rect.height
     uint32_t frame = 0;           // frame number the top row came from
@@ -88,17 +107,15 @@ class FrameStore {
   // Immediate read: rows already passed by this frame's scan show the new
   // frame, the rest still hold the previous frame.  Torn iff the scan is
   // inside the rectangle's rows.
-  ReadResult ReadRectangleNow(const Rect& rect) const;
+  void ReadRectangleNow(const Rect& rect, ReadResult* out) const;
 
   // The paper's carefully-timed read: waits until the camera scan is
   // outside [rect.y, rect.y+height) before reading.  Never tears.
-  Task<FrameStore::ReadResult> ReadRectangleSafe(Rect rect);
+  Task<void> ReadRectangleSafe(Rect rect, ReadResult* out);
 
   uint64_t safe_waits() const { return safe_waits_; }
 
  private:
-  uint8_t PixelAtTime(Time t, int x, int y) const;
-
   Scheduler* sched_;
   const FramePattern* pattern_;
   int width_;

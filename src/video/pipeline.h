@@ -19,7 +19,6 @@
 #define PANDORA_SRC_VIDEO_PIPELINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -68,31 +67,31 @@ class PipelinedCompressor {
 // item, while header/tail descriptions queue behind the held slice.
 class SliceHoldbackBuffer {
  public:
-  std::vector<SliceDesc> Push(const SliceDesc& desc) {
-    std::vector<SliceDesc> released;
+  // The returned group stays valid until the next Push; its storage and the
+  // held group's are swapped, not reallocated.
+  const std::vector<SliceDesc>& Push(const SliceDesc& desc) {
+    released_.clear();
     if (desc.kind == SliceKind::kSliceDesc || desc.kind == SliceKind::kDummyDesc) {
       // New data has entered the pipe: everything previously modelled as
       // in-transit has now been pushed through to the server side.
-      released.assign(held_.begin(), held_.end());
-      held_.clear();
+      released_.swap(held_);
       held_.push_back(desc);
+    } else if (held_.empty()) {
+      // Nothing in the pipe to wait for: pass straight through.
+      released_.push_back(desc);
     } else {
-      if (held_.empty()) {
-        // Nothing in the pipe to wait for: pass straight through.
-        released.push_back(desc);
-      } else {
-        held_.push_back(desc);
-      }
+      held_.push_back(desc);
     }
-    forwarded_ += released.size();
-    return released;
+    forwarded_ += released_.size();
+    return released_;
   }
 
-  const std::deque<SliceDesc>& held() const { return held_; }
+  const std::vector<SliceDesc>& held() const { return held_; }
   uint64_t forwarded() const { return forwarded_; }
 
  private:
-  std::deque<SliceDesc> held_;
+  std::vector<SliceDesc> held_;
+  std::vector<SliceDesc> released_;
   uint64_t forwarded_ = 0;
 };
 

@@ -516,6 +516,37 @@ TEST(ClawbackBankTest, TotalStatsFoldInRetiredBuffers) {
   EXPECT_EQ(stats.empty_pops, 1u);
 }
 
+TEST(ClawbackBankTest, ReactivatedBufferBehavesLikeANewOne) {
+  // Stream 1 leaves clawback counters and stats behind when it deactivates;
+  // stream 2 then reuses its storage and must not inherit any of it.
+  ClawbackConfig config;
+  config.count_threshold = 4;
+  ClawbackBank reused(config);
+  for (int i = 0; i < 6; ++i) {
+    reused.Push(1, MakeBlock());
+  }
+  while (reused.Pop(1).has_value()) {
+  }
+  ASSERT_EQ(reused.active_count(), 0u);
+  ClawbackBank fresh(config);
+  for (int i = 0; i < 12; ++i) {
+    const AudioBlock block = MakeBlock(static_cast<uint8_t>(i));
+    EXPECT_EQ(reused.Push(2, block), fresh.Push(2, block)) << "push " << i;
+    if (i % 3 == 0) {
+      EXPECT_EQ(reused.Pop(2).has_value(), fresh.Pop(2).has_value());
+    }
+  }
+  const ClawbackBuffer::Stats& a = reused.Find(2)->stats();
+  const ClawbackBuffer::Stats& b = fresh.Find(2)->stats();
+  EXPECT_EQ(a.pushes, b.pushes);
+  EXPECT_EQ(a.pops, b.pops);
+  EXPECT_EQ(a.clawback_drops, b.clawback_drops);
+  EXPECT_GT(a.clawback_drops, 0u);
+  EXPECT_EQ(a.max_depth, b.max_depth);
+  EXPECT_EQ(reused.Find(2)->depth_blocks(), fresh.Find(2)->depth_blocks());
+  EXPECT_EQ(reused.TotalStats().pushes, 6u + 12u);
+}
+
 TEST(ClawbackBankTest, PoolSharedAcrossStreams) {
   ClawbackBank bank(ClawbackConfig{}, Millis(8));  // 4 blocks total
   for (int i = 0; i < 4; ++i) {

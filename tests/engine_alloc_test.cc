@@ -8,6 +8,11 @@
 // back onto the timer path, a container growing in steady state, a coroutine
 // frame missing the pool — fails deterministically instead of nudging a ratio.
 //
+// DataPathAllocTest carries the same contract up into the product path: a
+// warmed-up two-box Simulation must move its audio from microphone to mixer
+// with zero heap calls per delivered segment, and a 64x48 video stream
+// (capture, wire, display) may add at most one.
+//
 // The global operator new/delete replacement below mirrors bench_engine.cpp.
 // gtest itself allocates freely; all assertions read the counter first and
 // only then run EXPECT machinery, so the measured window stays clean.
@@ -17,8 +22,10 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
+#include "src/core/simulation.h"
 #include "src/runtime/alt.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/random.h"
@@ -207,6 +214,74 @@ TEST_F(EngineAllocTest, AltSelectIsAllocationFree) {
     sched.RunUntilQuiescent();
   });
   EXPECT_EQ(allocs, 0u) << "ALT selection touched the heap in steady state";
+}
+
+class DataPathAllocTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+#ifdef PANDORA_ALLOC_GATE_DISABLED
+    GTEST_SKIP() << "frame pool runs in passthrough mode under ASan; "
+                    "allocs/segment is gated on the plain build only";
+#endif
+  }
+
+  // Adds the two boxes of a call and starts the world.
+  void Build(bool with_video) {
+    for (const char* name : {"alice", "bob"}) {
+      PandoraBox::Options options;
+      options.name = name;
+      options.with_video = with_video;
+      boxes_.push_back(&sim_.AddBox(options));
+    }
+    sim_.Start();
+  }
+
+  uint64_t Delivered() {
+    uint64_t delivered = 0;
+    for (PandoraBox* box : boxes_) {
+      delivered += box->audio_receiver().segments_received();
+      if (const VideoDisplay* display = box->display(); display != nullptr) {
+        delivered += display->segments_received();
+      }
+    }
+    return delivered;
+  }
+
+  // Runs a warmup (every pool slot, scratch buffer and ring reaches its
+  // working capacity), then returns heap calls and delivered segments over
+  // the measured window.
+  std::pair<uint64_t, uint64_t> Measure() {
+    sim_.RunFor(Seconds(5));
+    const uint64_t delivered_before = Delivered();
+    const uint64_t allocs_before = g_alloc_count;
+    sim_.RunFor(Seconds(20));
+    const uint64_t allocs = g_alloc_count - allocs_before;
+    return {allocs, Delivered() - delivered_before};
+  }
+
+  Simulation sim_;
+  std::vector<PandoraBox*> boxes_;
+};
+
+TEST_F(DataPathAllocTest, TwoWayAudioCallIsAllocationFree) {
+  Build(/*with_video=*/false);
+  sim_.SendAudio(*boxes_[0], *boxes_[1]);
+  sim_.SendAudio(*boxes_[1], *boxes_[0]);
+  const auto [allocs, delivered] = Measure();
+  EXPECT_GE(delivered, 10'000u);
+  EXPECT_EQ(allocs, 0u) << "mic -> wire -> mixer touched the heap in steady state ("
+                        << delivered << " segments delivered)";
+}
+
+TEST_F(DataPathAllocTest, VideoStreamCostsAtMostOneAllocPerSegment) {
+  Build(/*with_video=*/true);
+  sim_.SendAudio(*boxes_[0], *boxes_[1]);
+  sim_.SendAudio(*boxes_[1], *boxes_[0]);
+  sim_.SendVideo(*boxes_[0], *boxes_[1], Rect{0, 0, 64, 48});
+  const auto [allocs, delivered] = Measure();
+  EXPECT_GE(delivered, 10'000u);
+  EXPECT_LE(static_cast<double>(allocs), static_cast<double>(delivered))
+      << allocs << " heap calls for " << delivered << " delivered segments";
 }
 
 }  // namespace

@@ -140,6 +140,118 @@ TEST(WireTest, RejectsBadSegmentNumbering) {
   EXPECT_FALSE(decoded.ok);
 }
 
+// Field-by-field equality, including the header fields the wire image
+// derives rather than carries (data_length, argument_count).
+void ExpectSameSegment(const Segment& got, const Segment& want) {
+  EXPECT_EQ(got.stream, want.stream);
+  EXPECT_EQ(got.header.version_id, want.header.version_id);
+  EXPECT_EQ(got.header.sequence, want.header.sequence);
+  EXPECT_EQ(got.header.timestamp, want.header.timestamp);
+  EXPECT_EQ(got.header.type, want.header.type);
+  EXPECT_EQ(got.header.length, want.header.length);
+  ASSERT_EQ(got.sub.index(), want.sub.index());
+  if (want.is_audio()) {
+    EXPECT_EQ(got.audio().sampling_rate, want.audio().sampling_rate);
+    EXPECT_EQ(got.audio().format, want.audio().format);
+    EXPECT_EQ(got.audio().compression, want.audio().compression);
+    EXPECT_EQ(got.audio().data_length, want.audio().data_length);
+  } else if (want.is_video()) {
+    const VideoHeader& g = got.video();
+    const VideoHeader& w = want.video();
+    EXPECT_EQ(g.frame_number, w.frame_number);
+    EXPECT_EQ(g.segments_in_frame, w.segments_in_frame);
+    EXPECT_EQ(g.segment_number, w.segment_number);
+    EXPECT_EQ(g.x_offset, w.x_offset);
+    EXPECT_EQ(g.y_offset, w.y_offset);
+    EXPECT_EQ(g.pixel_format, w.pixel_format);
+    EXPECT_EQ(g.compression_type, w.compression_type);
+    EXPECT_EQ(g.argument_count, w.argument_count);
+    EXPECT_EQ(g.x_width, w.x_width);
+    EXPECT_EQ(g.start_line_y, w.start_line_y);
+    EXPECT_EQ(g.line_count, w.line_count);
+    EXPECT_EQ(g.data_length, w.data_length);
+  }
+  EXPECT_EQ(got.compression_args, want.compression_args);
+  EXPECT_EQ(got.payload, want.payload);
+}
+
+VideoHeader StripHeader() {
+  VideoHeader vh;
+  vh.frame_number = 12;
+  vh.segments_in_frame = 2;
+  vh.segment_number = 1;
+  vh.y_offset = 24;
+  vh.pixel_format = PixelFormat::kGrey8;
+  vh.compression_type = VideoCoding::kDpcmSubsampled;
+  vh.x_width = 64;
+  vh.start_line_y = 24;
+  vh.line_count = 2;
+  return vh;
+}
+
+// A pool slot after use and PoolRecycle: a big payload's capacity, stale
+// compression args and headers from some other stream.
+Segment StaleSlot() {
+  Segment stale = MakeVideoSegment(99, 7, Millis(400), StripHeader(), Ramp(4096, 3));
+  stale.compression_args = {5, 6, 7};
+  return stale;
+}
+
+TEST(WireTest, DecodeIntoReusedSegmentMatchesFreshDecode) {
+  Segment video = MakeVideoSegment(4, 11, Millis(80), StripHeader(), Ramp(130, 9));
+  video.compression_args = {2};
+  video.header.length = static_cast<uint32_t>(video.EncodedSize());
+  Segment test_segment;
+  test_segment.stream = 6;
+  test_segment.header.type = SegmentType::kTest;
+  test_segment.payload = Ramp(5);
+  test_segment.header.length = static_cast<uint32_t>(test_segment.EncodedSize());
+  for (const Segment& original :
+       {MakeAudioSegment(3, 21, Millis(6), Ramp(32, 1)), video, test_segment}) {
+    for (StreamField field : {StreamField::kIncluded, StreamField::kOmitted}) {
+      const std::vector<uint8_t> bytes = EncodeSegment(original, field);
+      const DecodeResult fresh = DecodeSegment(bytes, field, original.stream);
+      ASSERT_TRUE(fresh.ok) << fresh.error;
+
+      Segment reused = StaleSlot();
+      const size_t capacity = reused.payload.capacity();
+      const uint8_t* storage = reused.payload.data();
+      const char* error = nullptr;
+      ASSERT_TRUE(DecodeSegmentInto(bytes, field, original.stream, &reused, &error)) << error;
+      ExpectSameSegment(reused, fresh.segment);
+      // Decoded in place: the stale payload's storage was kept, not replaced.
+      EXPECT_EQ(reused.payload.capacity(), capacity);
+      EXPECT_EQ(reused.payload.data(), storage);
+    }
+  }
+}
+
+TEST(WireTest, DecodeIntoReportsTheWrapperError) {
+  std::vector<uint8_t> bytes = EncodeSegment(MakeAudioSegment(1, 1, 0, Ramp(32)));
+  bytes.resize(bytes.size() - 3);
+  Segment scratch = StaleSlot();
+  const char* error = nullptr;
+  EXPECT_FALSE(DecodeSegmentInto(bytes, StreamField::kIncluded, kInvalidStream, &scratch, &error));
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(DecodeSegment(bytes).error, error);
+}
+
+TEST(SegmentTest, FillIntoRecycledSlotMatchesMake) {
+  const std::vector<uint8_t> samples = Ramp(64, 17);
+  Segment audio = StaleSlot();
+  const uint8_t* storage = audio.payload.data();
+  FillAudioSegment(&audio, 8, 30, Millis(12), samples.data(), samples.size());
+  ExpectSameSegment(audio, MakeAudioSegment(8, 30, Millis(12), samples));
+  EXPECT_EQ(audio.payload.data(), storage);
+
+  const std::vector<uint8_t> data = Ramp(130, 40);
+  Segment video = StaleSlot();
+  storage = video.payload.data();
+  FillVideoSegment(&video, 5, 31, Millis(44), StripHeader(), data.data(), data.size());
+  ExpectSameSegment(video, MakeVideoSegment(5, 31, Millis(44), StripHeader(), data));
+  EXPECT_EQ(video.payload.data(), storage);
+}
+
 TEST(SequenceTest, InOrderStream) {
   SequenceTracker tracker;
   EXPECT_EQ(tracker.Observe(10).outcome, SequenceTracker::Outcome::kFirst);

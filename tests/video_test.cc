@@ -1,6 +1,7 @@
 // Tests for the video subsystem: DPCM line coding, the framestore scan
 // model, the slice pipeline with its hold-back buffer, capture at
 // fractional frame rates, and tear-free display (paper sections 3.3, 3.6).
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -75,6 +76,58 @@ TEST(DpcmTest, RejectsTruncatedAndWrongSizedLines) {
   EXPECT_FALSE(DecompressLine({}, 16).ok);
 }
 
+TEST(DpcmTest, IntoCodecsMatchTheWrappers) {
+  for (int width : {1, 7, 33, 64}) {
+    std::vector<uint8_t> line(static_cast<size_t>(width));
+    std::vector<uint8_t> above(static_cast<size_t>(width));
+    for (int i = 0; i < width; ++i) {
+      line[static_cast<size_t>(i)] = static_cast<uint8_t>(i * 37 + 11);
+      above[static_cast<size_t>(i)] = static_cast<uint8_t>(i * 13 + 5);
+    }
+    for (LineCoding coding : {LineCoding::kRawLine, LineCoding::kDpcmLine,
+                              LineCoding::kSubsampledDpcmLine, LineCoding::kVerticalDelta}) {
+      SCOPED_TRACE(::testing::Message() << "width " << width << " coding "
+                                        << static_cast<int>(coding));
+      const std::vector<uint8_t> wrapped = CompressLine(coding, line.data(), width, above.data());
+      // One guard byte past the coded line must stay untouched.
+      std::vector<uint8_t> into(CompressedLineSize(coding, width) + 1, 0xEE);
+      ASSERT_EQ(CompressLineInto(coding, line.data(), width, above.data(), into.data()),
+                wrapped.size());
+      EXPECT_TRUE(std::equal(wrapped.begin(), wrapped.end(), into.begin()));
+      EXPECT_EQ(into.back(), 0xEE);
+
+      const uint8_t* missing = nullptr;
+      for (const uint8_t* reference : {static_cast<const uint8_t*>(above.data()), missing}) {
+        const DecompressedLine decoded = DecompressLine(wrapped, width, reference);
+        std::vector<uint8_t> out(static_cast<size_t>(width) + 1, 0xEE);
+        const bool ok =
+            DecompressLineInto(wrapped.data(), wrapped.size(), width, reference, out.data());
+        EXPECT_EQ(ok, decoded.ok);
+        // Only vertical delta needs the line above.
+        EXPECT_EQ(ok, reference != nullptr || coding != LineCoding::kVerticalDelta);
+        if (ok) {
+          EXPECT_TRUE(std::equal(decoded.pixels.begin(), decoded.pixels.end(), out.begin()));
+          EXPECT_EQ(out.back(), 0xEE);
+        } else {
+          EXPECT_TRUE(decoded.pixels.empty());
+        }
+      }
+    }
+  }
+}
+
+TEST(LastLineCacheTest, PointerStoreReusesTheCachedLine) {
+  LastLineCache cache;
+  const std::vector<uint8_t> wide = SmoothLine(16);
+  cache.Store(1, wide.data(), wide.size());
+  const uint8_t* storage = cache.Fetch(1)->data();
+  const std::vector<uint8_t> narrow = SmoothLine(8);
+  cache.Store(1, narrow.data(), narrow.size());
+  ASSERT_NE(cache.Fetch(1), nullptr);
+  EXPECT_EQ(*cache.Fetch(1), narrow);
+  EXPECT_EQ(cache.Fetch(1)->data(), storage);
+}
+
 TEST(LastLineCacheTest, CountsInterleaveReloads) {
   LastLineCache cache;
   cache.Store(1, SmoothLine(8));
@@ -104,10 +157,53 @@ TEST(FrameStoreTest, ImmediateReadTearsWhenScanInsideRows) {
   MovingBarPattern pattern(64);
   FrameStore store(&sched, &pattern, 64, 48);
   sched.RunFor(Millis(20));  // scan at line 24
-  auto torn = store.ReadRectangleNow({0, 16, 64, 16});  // rows 16..32 straddle
-  EXPECT_TRUE(torn.torn);
-  auto clean = store.ReadRectangleNow({0, 32, 64, 8});  // fully below scan
-  EXPECT_FALSE(clean.torn);
+  FrameStore::ReadResult read;
+  store.ReadRectangleNow({0, 16, 64, 16}, &read);  // rows 16..32 straddle
+  EXPECT_TRUE(read.torn);
+  store.ReadRectangleNow({0, 32, 64, 8}, &read);  // fully below scan
+  EXPECT_FALSE(read.torn);
+  EXPECT_EQ(read.pixels.size(), 64u * 8u);
+}
+
+TEST(FrameStoreTest, FillRowMatchesPixelAt) {
+  // The 8-pixel bar moves 4 pixels a frame across 64: frames 14-17 carry it
+  // over the right edge and back in at x = 0.
+  MovingBarPattern pattern(64);
+  for (uint32_t frame : {0u, 1u, 14u, 15u, 16u, 17u, 1000u}) {
+    for (int x : {0, 3, 40, 57}) {
+      for (int y : {0, 5, 47}) {
+        const int width = 64 - x;
+        std::vector<uint8_t> row(static_cast<size_t>(width));
+        pattern.FillRow(frame, x, y, width, row.data());
+        for (int i = 0; i < width; ++i) {
+          ASSERT_EQ(row[static_cast<size_t>(i)], pattern.PixelAt(frame, x + i, y))
+              << "frame " << frame << " x " << x + i << " y " << y;
+        }
+      }
+    }
+  }
+}
+
+TEST(FrameStoreTest, RowWiseReadMatchesThePerPixelScanModel) {
+  Scheduler sched;
+  MovingBarPattern pattern(64);
+  FrameStore store(&sched, &pattern, 64, 48);
+  sched.RunFor(Millis(60));  // camera writing frame 1, scan at line 24
+  FrameStore::ReadResult read;
+  read.pixels.assign(4096, 0xEE);  // stale contents from an earlier read
+  store.ReadRectangleNow({5, 10, 50, 30}, &read);
+  ASSERT_EQ(read.pixels.size(), 50u * 30u);
+  for (int row = 0; row < 30; ++row) {
+    const int y = 10 + row;
+    const uint32_t frame = y < 24 ? 1 : 0;  // rows above the scan are new
+    for (int col = 0; col < 50; ++col) {
+      ASSERT_EQ(read.pixels[static_cast<size_t>(row) * 50 + static_cast<size_t>(col)],
+                pattern.PixelAt(frame, 5 + col, y))
+          << "row " << row << " col " << col;
+    }
+  }
+  EXPECT_TRUE(read.torn);
+  EXPECT_EQ(read.frame, 1u);
 }
 
 TEST(FrameStoreTest, SafeReadWaitsForScanToClear) {
@@ -120,7 +216,7 @@ TEST(FrameStoreTest, SafeReadWaitsForScanToClear) {
   auto reader = [](Scheduler* s, FrameStore* store, FrameStore::ReadResult* out,
                    bool* done) -> Process {
     co_await s->WaitUntil(Millis(20));  // scan at line 24, inside rows 16..32
-    *out = co_await store->ReadRectangleSafe({0, 16, 64, 16});
+    co_await store->ReadRectangleSafe({0, 16, 64, 16}, out);
     *done = true;
   };
   sched.Spawn(reader(&sched, &store, &result, &done), "reader");
@@ -340,6 +436,35 @@ TEST(VideoRigTest, InterleavedStreamsReloadTheLineCache) {
   EXPECT_GT(display.MeasuredFps(2, Seconds(1)), 20.0);
   EXPECT_GT(display.cache_reloads(), 40u);
   EXPECT_EQ(display.undecodable_segments(), 0u);
+}
+
+TEST(VideoRigTest, DamagedLineCountIsUndecodableWithoutSizingForIt) {
+  // A header claiming 2^30 lines over a two-line payload: the display must
+  // reject it after the payload runs out, sizing its rows by what the
+  // payload can hold rather than by the claimed geometry.
+  Scheduler sched;
+  BufferPool pool(&sched, "pool", 4);
+  Channel<SegmentRef> wire(&sched, "wire");
+  VideoDisplay display(&sched, {.name = "disp", .width = 64, .height = 48}, &wire);
+  ShutdownGuard guard(&sched);
+  display.Start();
+  auto sender = [](BufferPool* pool, Channel<SegmentRef>* out) -> Process {
+    const std::vector<uint8_t> line = SmoothLine(64);
+    std::vector<uint8_t> data = CompressLine(LineCoding::kDpcmLine, line.data(), 64);
+    const std::vector<uint8_t> second = CompressLine(LineCoding::kDpcmLine, line.data(), 64);
+    data.insert(data.end(), second.begin(), second.end());
+    VideoHeader vh;
+    vh.x_width = 64;
+    vh.line_count = 1u << 30;
+    SegmentRef ref = co_await pool->Allocate();
+    FillVideoSegment(ref.get(), 1, 0, 0, vh, data.data(), data.size());
+    co_await out->Send(std::move(ref));
+  };
+  sched.Spawn(sender(&pool, &wire), "sender");
+  sched.RunFor(Millis(10));
+  EXPECT_EQ(display.segments_received(), 1u);
+  EXPECT_EQ(display.undecodable_segments(), 1u);
+  EXPECT_EQ(display.frames_displayed(), 0u);
 }
 
 TEST(VideoRigTest, ScanUnawareCopyTears) {

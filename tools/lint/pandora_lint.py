@@ -107,6 +107,18 @@ expensive to debug:
       section 9) removed.  Inside src/, plumb Channel<SegmentRef> (decoded,
       pool-backed) or NetTx/NetRx wire handles (encoded bytes) instead.
 
+  pooled-segment-assign
+      A BufferPool slot keeps its segment's heap capacity across reuse
+      (PoolRecycle clears, never frees), which is what lets the data path
+      run without allocating.  Assigning a whole new Segment into the slot
+      throws that capacity away: `*ref = MakeAudioSegment(...)` /
+      `MakeVideoSegment(...)` and `*ref = std::move(segment)` both move a
+      freshly allocated payload in and free the slot's.  Flagged in src/:
+      the Make* form through any dereference, and the std::move form into a
+      name the file declares as a SegmentRef.  Fill the slot in place
+      (FillAudioSegment / FillVideoSegment / DecodeSegmentInto), std::swap a
+      scratch segment in, or copy-assign.
+
   batched-drain
       A loop that co_awaits Send once per element of a materialized SmallVec
       batch pays a full dispatch round-trip for every element — the exact
@@ -181,6 +193,16 @@ FAULT_HOOK_ALLOWED = ("src/fault/", "src/net/")
 # channels are the sanctioned shapes; matching the bare value type keeps the
 # regex from firing on them (">" can't appear in "SegmentRef").
 SEGMENT_CHANNEL_RE = re.compile(r"\bChannel\s*<\s*Segment\s*>")
+
+# Whole-segment assignment through a dereference (rule pooled-segment-assign).
+# The lookbehind keeps multiplication ("a * b = ...") from matching.
+MAKE_SEGMENT_ASSIGN_RE = re.compile(
+    r"(?<![\w)\]])\*+\s*[A-Za-z_][\w.]*\s*=\s*Make(?:Audio|Video)Segment\s*\(")
+MOVE_ASSIGN_RE = re.compile(r"(?<![\w)\]])\*+\s*([A-Za-z_]\w*)\s*=\s*std::move\s*\(")
+# Names declared with a SegmentRef type: locals, parameters, members and
+# std::optional<SegmentRef> wrappers.
+SEGMENT_REF_DECL_RE = re.compile(
+    r"\b(?:SegmentRef|PoolRef\s*<\s*Segment\s*>)\s*>?\s*[&*]*\s*([A-Za-z_]\w*)\s*[;=,)({]")
 
 THREAD_INCLUDES = [
     "<thread>",
@@ -917,6 +939,25 @@ def rule_segment_channels(ctx, report):
                    "or NetTx/NetRx wire handles instead (DESIGN.md §9)")
 
 
+def rule_pooled_segment_assign(ctx, report):
+    if not ctx.in_src:
+        return
+    refs = set(SEGMENT_REF_DECL_RE.findall(ctx.code))
+    for i, line in enumerate(ctx.code_lines, 1):
+        if MAKE_SEGMENT_ASSIGN_RE.search(line):
+            report(i, "pooled-segment-assign",
+                   "assigning a Make*Segment result through a pointer frees "
+                   "the pooled payload's capacity; fill the slot in place "
+                   "with FillAudioSegment/FillVideoSegment")
+        for m in MOVE_ASSIGN_RE.finditer(line):
+            if m.group(1) in refs:
+                report(i, "pooled-segment-assign",
+                       f"move-assigning a whole Segment into SegmentRef "
+                       f"'{m.group(1)}' frees the pooled payload's capacity; "
+                       "decode/fill in place, std::swap a scratch segment in, "
+                       "or copy-assign")
+
+
 def rule_raw_new_delete(ctx, report):
     # Placement new included; the only exemption is the buffer allocator.
     if not ctx.in_src or ctx.relpath.startswith("src/buffer/"):
@@ -967,6 +1008,7 @@ RULES = [
     ("bare-assert", rule_bare_assert),
     ("std-function-member", rule_std_function_member),
     ("segment-channels", rule_segment_channels),
+    ("pooled-segment-assign", rule_pooled_segment_assign),
     ("batched-drain", rule_batched_drain),
     ("raw-new-delete", rule_raw_new_delete),
     ("trace-macros", rule_trace_macros),
