@@ -69,6 +69,68 @@ TEST(ShardDeterminism, ThreadCountIsInvisible) {
   EXPECT_GT(a.windows, 0u);
 }
 
+TEST(ShardDeterminism, DispatchOrderMatchesPinnedGolden) {
+  // Every other test here compares two runs of the same binary, so a change
+  // to the mailbox drain order that stays thread-invariant (say, draining
+  // outboxes in reverse source order) would pass them all.  These constants
+  // pin the per-shard dispatch order itself: any change to how cross-shard
+  // entries reach the destination wheels moves them.
+  const std::vector<uint64_t> golden8 = {
+      0x1aca1fbffa354581ull, 0x0fb1a542143a447full, 0xdb98952a7e0d90f1ull,
+      0x0767da64114567dbull, 0xb3605538aec38334ull, 0xe454f4a49211730dull,
+      0x80982e573a36f979ull, 0xfdc55a760e90f634ull,
+  };
+  const std::vector<uint64_t> golden4 = {
+      0x280573322b48ed27ull, 0xeb8b6c69d85398a9ull, 0xd5feb2cc0ef24dd2ull,
+      0x2c1273c01912e95eull,
+  };
+  ShardStormOptions eight = BaseStorm(0xA11CE);
+  ShardStormOptions four = eight;
+  four.shards = 4;
+  four.threads = 4;
+  const ShardStormResult a = RunShardStorm(eight);
+  const ShardStormResult b = RunShardStorm(four);
+  EXPECT_EQ(a.shard_hashes, golden8);
+  EXPECT_EQ(b.shard_hashes, golden4);
+  EXPECT_GT(a.cross_shard_messages, 1000u);
+  EXPECT_GT(b.cross_shard_messages, 1000u);
+}
+
+TEST(ShardSetMailbox, EqualDeadlineEntriesDispatchInSourceThenPostOrder) {
+  // The property the mailbox drain relies on, stated once: entries that
+  // three source shards post to one destination for the same instant, in
+  // one window, dispatch in (source shard, post order) — not in the order
+  // the sources ran — and an earlier deadline still dispatches first even
+  // though each source armed it last.  Sources run in reverse shard order
+  // inside the window, so post-time order would be the opposite.
+  for (const int threads : {1, 3}) {
+    ShardSetOptions options;
+    options.shards = 4;
+    options.threads = threads;
+    ShardSet set(options);
+    ShardSet* sp = &set;
+    constexpr int kDst = 3;
+    constexpr int kPerSource = 3;
+    std::vector<int> log;  // 10 * src + k; touched only on shard kDst
+    std::vector<int>* lp = &log;
+    for (int src = 0; src < 3; ++src) {
+      const Time start = Millis(1) + Micros(300 * (2 - src));
+      set.shard(src).AddTimer(start, TimerCallback([sp, lp, src] {
+        for (int k = 0; k < kPerSource; ++k) {
+          sp->Post(src, kDst, Millis(5),
+                   TimerCallback([lp, src, k] { lp->push_back(10 * src + k); }));
+        }
+        sp->Post(src, kDst, Millis(4), TimerCallback([lp, src] { lp->push_back(10 * src + 9); }));
+      }));
+    }
+    set.RunUntilQuiescent();
+    const std::vector<int> expected = {9, 19, 29, 0, 1, 2, 10, 11, 12, 20, 21, 22};
+    EXPECT_EQ(log, expected) << "threads=" << threads;
+    EXPECT_EQ(set.cross_shard_messages(), 12u);
+    set.Shutdown();
+  }
+}
+
 TEST(ShardDeterminism, PartitionIsInvisibleToObservables) {
   // 1 shard vs 8 shards (either thread count): the partition may only change
   // which wheel arms a timer, never what any actor observes.  Totals and the

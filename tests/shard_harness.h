@@ -15,9 +15,12 @@
 //
 //   shard hash (order-sensitive)   Per shard: the FNV chain of every
 //       (src,dst) delivery stream terminating on the shard, folded in
-//       delivery order, plus the shard's execution digest.  Equal across
-//       runs and across thread counts for a fixed shard layout — the replay
-//       and M:N-invariance gates.
+//       delivery order, the shard's arrival chain (every message landing
+//       on the shard, in dispatch order across all links — the only fold
+//       that sees how equal-instant arrivals from different source shards
+//       interleave, i.e. the mailbox drain order), plus the shard's
+//       execution digest.  Equal across runs and across thread counts for
+//       a fixed shard layout — the replay and M:N-invariance gates.
 //
 //   merged hash (partition-invariant)   A commutative per-pair accumulator
 //       (each delivery contributes a SplitMix64 of its absolute time,
@@ -110,6 +113,7 @@ class ShardStormWorld {
     const int actors = opt_.total_actors;
     actors_.resize(static_cast<size_t>(actors));
     pairs_.resize(static_cast<size_t>(actors) * static_cast<size_t>(actors));
+    arrivals_.resize(static_cast<size_t>(opt_.shards));
     for (int id = 0; id < actors; ++id) {
       Actor& a = actors_[static_cast<size_t>(id)];
       a.id = id;
@@ -181,6 +185,7 @@ class ShardStormWorld {
     const size_t actors = actors_.size();
     for (int s = 0; s < opt_.shards; ++s) {
       uint64_t h = FnvMix(0xcbf29ce484222325ull, set.ShardDigest(s));
+      h = FnvMix(h, arrivals_[static_cast<size_t>(s)].chain);
       for (size_t src = 0; src < actors; ++src) {
         for (size_t dst = 0; dst < actors; ++dst) {
           if (actors_[dst].shard != s) {
@@ -256,6 +261,12 @@ class ShardStormWorld {
     uint64_t chain = 0xcbf29ce484222325ull;  // order-sensitive FNV chain
     uint64_t acc = 0;                        // commutative accumulator
     uint64_t count = 0;
+  };
+
+  // Per-shard arrival chain, written only by its shard's worker; padded so
+  // neighbouring shards' workers do not share a cache line.
+  struct alignas(64) ArrivalChain {
+    uint64_t chain = 0xcbf29ce484222325ull;
   };
 
   struct Episode {
@@ -394,6 +405,8 @@ class ShardStormWorld {
   void OnDeliver(uint32_t src, uint32_t dst, uint64_t payload) {
     Actor& a = actors_[dst];
     const Time when = set_->shard(a.shard).now();
+    uint64_t& arrivals = arrivals_[static_cast<size_t>(a.shard)].chain;
+    arrivals = FnvMix(FnvMix(arrivals, (static_cast<uint64_t>(src) << 32) | dst), payload);
     if (!a.alive || LostAt(when, payload)) {
       ++a.drops;
       return;
@@ -443,6 +456,7 @@ class ShardStormWorld {
   ShardSet* set_ = nullptr;
   std::vector<Actor> actors_;
   std::vector<PairState> pairs_;
+  std::vector<ArrivalChain> arrivals_;  // index = shard
   std::vector<Episode> loss_episodes_;
   std::vector<Episode> jitter_episodes_;
   std::vector<CrashEvent> crash_schedule_;
