@@ -20,14 +20,18 @@
 //   parks/window  barrier waits that outlasted their spin and parked, per
 //                 round (ShardSet::barrier_parks); high values mean the
 //                 threads slept through the barrier instead of spinning.
+//   cross msgs/window
+//                 mailbox entries the barrier drains into destination
+//                 wheels per round: the drain's load.
 //
 // The --json output is the perf trajectory checked in as BENCH_shard.json.
-// CI gates (plain build only) compare rows of the same run: allocs/event
-// ~ 0 at every thread count, every thread count's events/sec >= 0.2x the
-// 1-thread row (catches spin collapse on oversubscribed hosts), and — only
-// when the runner actually has >= 8 hardware threads — >= 3x speedup at 8
-// threads.  The "hardware threads" row is emitted so the gate can tell a
-// slow engine from a small machine.
+// CI gates compare rows of the same run.  On every build: allocs/event ~ 0
+// and cross msgs/window > 0 at every thread count (the storm provably
+// exercises the mailbox drain).  Plain build only: every thread count's
+// events/sec >= 0.2x the 1-thread row (catches spin collapse on
+// oversubscribed hosts) and — only when the runner actually has >= 8
+// hardware threads — >= 3x speedup at 8 threads.  The "hardware threads"
+// row is emitted so the gate can tell a slow engine from a small machine.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -90,6 +94,7 @@ struct ShardScore {
   double allocs_per_event = 0.0;
   double events_per_window = 0.0;
   double parks_per_window = 0.0;
+  double cross_msgs_per_window = 0.0;
   uint64_t merged_hash = 0;
 };
 
@@ -123,6 +128,7 @@ ShardScore RunConfig(int shards, int threads, bool traced = false) {
   const uint64_t events_before = world.TotalContextSwitches();
   const uint64_t windows_before = set.windows();
   const uint64_t parks_before = set.barrier_parks();
+  const uint64_t cross_before = set.cross_shard_messages();
   const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   const auto wall_before = std::chrono::steady_clock::now();
   world.RunUntil(Seconds(12));
@@ -131,6 +137,7 @@ ShardScore RunConfig(int shards, int threads, bool traced = false) {
   const uint64_t events = world.TotalContextSwitches() - events_before;
   const uint64_t windows = set.windows() - windows_before;
   const uint64_t parks = set.barrier_parks() - parks_before;
+  const uint64_t cross = set.cross_shard_messages() - cross_before;
 
   ShardScore score;
   const double wall_s = std::chrono::duration<double>(wall_after - wall_before).count();
@@ -140,6 +147,7 @@ ShardScore RunConfig(int shards, int threads, bool traced = false) {
   if (windows > 0) {
     score.events_per_window = static_cast<double>(events) / static_cast<double>(windows);
     score.parks_per_window = static_cast<double>(parks) / static_cast<double>(windows);
+    score.cross_msgs_per_window = static_cast<double>(cross) / static_cast<double>(windows);
   }
   if (traced && !world.shard_set()->ExportMergedTraceTo(BenchState().trace_path)) {
     std::fprintf(stderr, "failed to write merged trace to %s\n",
@@ -183,6 +191,7 @@ int main(int argc, char** argv) {
     BenchRow(tag + "allocs/event", score.allocs_per_event, "alloc");
     BenchRow(tag + "events/window", score.events_per_window, "ev");
     BenchRow(tag + "parks/window", score.parks_per_window, "parks");
+    BenchRow(tag + "cross msgs/window", score.cross_msgs_per_window, "msgs");
     BenchRow("hardware threads", static_cast<double>(std::thread::hardware_concurrency()),
              "cpus");
     return BenchFinish();
@@ -203,6 +212,7 @@ int main(int argc, char** argv) {
     BenchRow(tag + "allocs/event", score.allocs_per_event, "alloc");
     BenchRow(tag + "events/window", score.events_per_window, "ev");
     BenchRow(tag + "parks/window", score.parks_per_window, "parks");
+    BenchRow(tag + "cross msgs/window", score.cross_msgs_per_window, "msgs");
     if (threads == 1) {
       base_eps = score.events_per_sec;
       base_hash = score.merged_hash;

@@ -55,13 +55,8 @@ void ShardSet::Post(int src, int dst, Time when, TimerCallback fire) {
   PANDORA_CHECK(when >= shards_[static_cast<size_t>(src)]->now(),
                 "cross-shard Post into the source shard's past");
   Outbox& outbox = outboxes_[static_cast<size_t>(src)];
-  MailboxEntry entry;
-  entry.when = when;
-  entry.seq = outbox.next_seq++;
-  entry.src = src;
-  entry.dst = dst;
-  entry.fire = fire;
-  outbox.entries.push_back(entry);
+  ++outbox.posts;
+  outbox.entries.emplace_back(when, dst, fire);
 }
 
 void ShardSet::PostGlobal(Time when, TimerCallback fire) {
@@ -114,40 +109,22 @@ void ShardSet::RunBarrierTasks() {
 }
 
 void ShardSet::DrainMailboxes() {
-  // Fast path: barriers where nothing crossed a shard boundary pay one
-  // empty-check per outbox and nothing else (E19 shaved the shards=8
-  // threads=1 gap with this plus the idle-shard skip in RunWindow).
-  size_t pending = 0;
-  for (const Outbox& outbox : outboxes_) {
-    pending += outbox.entries.size();
-  }
-  if (pending == 0) {
-    ++empty_mailbox_barriers_;
-    return;
-  }
-  drain_scratch_.clear();
+  // The wheel orders distinct deadlines itself, and its cursor does not move
+  // during a drain, so equal-deadline entries land in one slot (or in the
+  // overflow heap, ordered by arm sequence) and fire FIFO in the (src, seq)
+  // order armed here (timer_wheel.h).
+  size_t drained = 0;
   for (Outbox& outbox : outboxes_) {
-    drain_scratch_.insert(drain_scratch_.end(), outbox.entries.begin(), outbox.entries.end());
+    for (const MailboxEntry& entry : outbox.entries) {
+      shards_[static_cast<size_t>(entry.dst)]->AddTimer(entry.when, entry.fire);
+    }
+    drained += outbox.entries.size();
     outbox.entries.clear();  // keeps capacity: steady-state drains don't allocate
   }
-  // (when, src, seq) is unique per entry, so this is a total order and the
-  // destination wheels see one deterministic arm sequence regardless of how
-  // many threads produced the entries.
-  std::sort(drain_scratch_.begin(), drain_scratch_.end(),
-            [](const MailboxEntry& a, const MailboxEntry& b) {
-              if (a.when != b.when) {
-                return a.when < b.when;
-              }
-              if (a.src != b.src) {
-                return a.src < b.src;
-              }
-              return a.seq < b.seq;
-            });
-  for (const MailboxEntry& entry : drain_scratch_) {
-    shards_[static_cast<size_t>(entry.dst)]->AddTimer(entry.when, entry.fire);
+  if (drained == 0) {
+    ++empty_mailbox_barriers_;
   }
-  cross_shard_messages_ += drain_scratch_.size();
-  drain_scratch_.clear();
+  cross_shard_messages_ += drained;
 }
 
 Time ShardSet::MinNextEvent() {
@@ -406,7 +383,7 @@ uint64_t ShardSet::ShardDigest(int i) const {
   mix(static_cast<uint64_t>(shard.now()));
   mix(shard.pending_timer_count());
   mix(shard.live_process_count());
-  mix(outboxes_[static_cast<size_t>(i)].next_seq);
+  mix(outboxes_[static_cast<size_t>(i)].posts);
   return h;
 }
 

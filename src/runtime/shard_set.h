@@ -14,9 +14,12 @@
 //             thread (the coordinator) is worker 0 and runs its own share.
 //   barrier   Workers rendezvous on an epoch barrier (spin, then park); the
 //             coordinator drains every outbox.
-//   drain     Cross-shard messages (sequence-stamped mailbox entries) are
-//             merged in (deliver_time, src_shard, seq) order and armed as
-//             ordinary timers on their destination shards.
+//   drain     Cross-shard messages (per-source outbox entries, in post
+//             order) are armed as ordinary timers on their destination
+//             shards, outbox by outbox in source-shard order.  The wheel
+//             does the merge: it orders distinct deadlines itself and fires
+//             equal ones FIFO, so dispatch follows (deliver_time, src_shard,
+//             post order) without a sort.
 //
 // Safety: a cross-shard message produced by an event at time t carries a
 // delivery time >= t + lookahead.  Every event in the window satisfies
@@ -28,8 +31,8 @@
 //
 // Determinism: within a window each shard's dispatch order is a pure
 // function of its own state (the Scheduler is sequential); the drain order
-// is a pure function of the messages' (deliver_time, src_shard, seq) keys,
-// which are assigned by each source shard's own deterministic execution.
+// is a pure function of each outbox's contents and its source index, and
+// each outbox is filled by its source shard's own deterministic execution.
 // Thread count and OS scheduling therefore cannot perturb dispatch order:
 // threads=1 and threads=8 replay byte-identically, which
 // tests/shard_determinism_test.cc pins.
@@ -109,8 +112,9 @@ class ShardSet {
   // All shard clocks agree at every barrier (and after every Run* call).
   Time now() const { return shard(0).now(); }
 
-  // Queues `fire` to run on shard `dst` at simulated time `when`, stamped
-  // with the source shard's next mailbox sequence number.  Must be called
+  // Queues `fire` to run on shard `dst` at simulated time `when`, appended
+  // to the source shard's outbox (its post order is the tie-break among
+  // equal-deadline deliveries from that source).  Must be called
   // either from code executing on shard `src` (its worker owns the outbox
   // row during a window) or from the coordinating thread between Run*
   // calls.  Cross-shard deliveries must respect the lookahead contract:
@@ -162,7 +166,7 @@ class ShardSet {
   // Per-shard window runs skipped because the shard provably had no event in
   // the window (idle fast path); each skip saves a RunUntil invocation.
   uint64_t idle_shard_skips() const { return idle_shard_skips_; }
-  // Barriers where every outbox was empty, skipping the merge-and-sort.
+  // Barriers where every outbox was empty (nothing to arm).
   uint64_t empty_mailbox_barriers() const { return empty_mailbox_barriers_; }
   // Mailbox entries accepted but not yet drained to a destination wheel.
   size_t undrained_messages() const;
@@ -172,7 +176,7 @@ class ShardSet {
   uint64_t barrier_parks() const;
 
   // Order-sensitive digest of one shard's execution so far: folds context
-  // switches, clock, and mailbox sequence state.  Equal digests across two
+  // switches, clock, and cross-shard post count.  Equal digests across two
   // runs mean the shard dispatched the same number of slices to the same
   // simulated time with the same cross-shard traffic — the cheap half of
   // the determinism story (tests fold per-message observables on top).
@@ -185,10 +189,10 @@ class ShardSet {
   bool ExportMergedTraceTo(const std::string& path) const;
 
  private:
+  // Source shard and send order are implicit: the outbox row and the
+  // entry's position in it.
   struct MailboxEntry {
     Time when = 0;
-    uint64_t seq = 0;  // per-source send order; ties broken by src below
-    int32_t src = 0;
     int32_t dst = 0;
     TimerCallback fire;
   };
@@ -200,7 +204,7 @@ class ShardSet {
   // order every write of the window before the drain.
   struct Outbox {
     std::vector<MailboxEntry> entries;
-    uint64_t next_seq = 0;
+    uint64_t posts = 0;  // cross-shard posts so far (folded into ShardDigest)
   };
 
   // A stop-the-world callback and its total order key.  Kept in a min-heap
@@ -224,10 +228,10 @@ class ShardSet {
   // helpers waiting, all shard clocks == upto or beyond their last event).
   void RunGlobalEvents(Time upto);
   void RunBarrierTasks();
-  // Merges every outbox into destination wheels in (when, src, seq) order.
-  // Fast path: when no cross-shard traffic occurred in the window (by far the
-  // common case in compute-heavy windows), one empty-check per outbox is the
-  // whole barrier cost — no scratch copy, no sort.
+  // Arms every outbox's entries into their destination wheels — outboxes in
+  // source-shard order, each in post order — and empties them.  The wheels'
+  // deadline order and equal-deadline FIFO turn that arm order into
+  // (when, src, seq) dispatch order.
   void DrainMailboxes();
   // Earliest next event over all shards (mailboxes are already drained into
   // wheels, so shard NextEventTime covers them).  Also refreshes
@@ -262,7 +266,6 @@ class ShardSet {
   int threads_ = 1;
   std::vector<std::unique_ptr<Scheduler>> shards_;
   std::vector<Outbox> outboxes_;              // index = src shard
-  std::vector<MailboxEntry> drain_scratch_;   // reused merge buffer
   // Per-shard NextEventTime snapshot taken by MinNextEvent; consumed by the
   // next RunWindow's idle-skip test.  Coordinator-written before the window
   // is published, helper-read after — the epoch_ increment (release) and the
