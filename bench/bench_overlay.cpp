@@ -15,7 +15,9 @@
 //     stays bounded (p99 reported, gated in CI against BENCH_overlay.json).
 //   - Sharded (Part 4): the SAME churn storm at 10^5 receivers spanning a
 //     ShardSet stays allocation-free per delivered copy in steady state, and
-//     every worker-thread count reproduces one observable run hash.
+//     every worker-thread count reproduces one observable run hash.  Each
+//     thread count also reports events, cross-shard messages and barrier
+//     parks per window (E19's load rows), so the drain's share is visible.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -134,12 +136,27 @@ struct ShardedStormScore {
   Duration join_p99 = 0;
   int64_t repairs = 0;
   int64_t emitted = 0;
+  // Per barrier round of the measured window, as E19 reports them.
+  double events_per_window = 0.0;
+  double parks_per_window = 0.0;
+  double cross_msgs_per_window = 0.0;
 };
 
 int64_t TotalDelivered(const ShardedOverlayMulticast& multicast, int receivers) {
   int64_t total = 0;
   for (int r = 0; r < receivers; ++r) {
     total += multicast.stats(r).delivered;
+  }
+  return total;
+}
+
+// Dispatches plus deliveries: the data plane runs on timer callbacks, which
+// Scheduler::events() does not count, so each delivery (one callback on the
+// child's shard) is added.
+uint64_t TotalEvents(const ShardSet& set, int64_t delivered) {
+  uint64_t total = static_cast<uint64_t>(delivered);
+  for (int s = 0; s < set.shard_count(); ++s) {
+    total += set.shard(s).events();
   }
   return total;
 }
@@ -180,12 +197,21 @@ ShardedStormScore RunShardedStorm(int shards, int threads, bool traced) {
   set.RunUntil(Seconds(1));
 
   const int64_t delivered_before = TotalDelivered(multicast, kShardedReceivers);
+  const uint64_t events_before = TotalEvents(set, delivered_before);
+  const uint64_t windows_before = set.windows();
+  const uint64_t parks_before = set.barrier_parks();
+  const uint64_t cross_before = set.cross_shard_messages();
   const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   const auto wall_before = std::chrono::steady_clock::now();
   set.RunUntilQuiescent();
   const auto wall_after = std::chrono::steady_clock::now();
   const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  const int64_t delivered = TotalDelivered(multicast, kShardedReceivers) - delivered_before;
+  const int64_t delivered_after = TotalDelivered(multicast, kShardedReceivers);
+  const int64_t delivered = delivered_after - delivered_before;
+  const uint64_t events = TotalEvents(set, delivered_after) - events_before;
+  const uint64_t windows = set.windows() - windows_before;
+  const uint64_t parks = set.barrier_parks() - parks_before;
+  const uint64_t cross = set.cross_shard_messages() - cross_before;
 
   ShardedStormScore score;
   const double wall_s = std::chrono::duration<double>(wall_after - wall_before).count();
@@ -195,6 +221,11 @@ ShardedStormScore RunShardedStorm(int shards, int threads, bool traced) {
   score.run_hash = multicast.RunHash();
   score.repairs = multicast.repairs();
   score.emitted = multicast.emitted();
+  if (windows > 0) {
+    score.events_per_window = static_cast<double>(events) / static_cast<double>(windows);
+    score.parks_per_window = static_cast<double>(parks) / static_cast<double>(windows);
+    score.cross_msgs_per_window = static_cast<double>(cross) / static_cast<double>(windows);
+  }
   std::vector<Duration> joins = multicast.JoinLatencies();
   std::sort(joins.begin(), joins.end());
   if (!joins.empty()) {
@@ -235,6 +266,9 @@ int main(int argc, char** argv) {
     BenchRow("sharded receivers", kShardedReceivers, "", "(10^5-receiver spanning overlay)");
     BenchRow(tag + "deliveries/sec", score.deliveries_per_sec, "ev/s");
     BenchRow(tag + "allocs/delivery", score.allocs_per_delivery, "alloc");
+    BenchRow(tag + "events/window", score.events_per_window, "ev");
+    BenchRow(tag + "parks/window", score.parks_per_window, "parks");
+    BenchRow(tag + "cross msgs/window", score.cross_msgs_per_window, "msgs");
     BenchRow(tag + "join p50", static_cast<double>(score.join_p50), "us");
     BenchRow(tag + "join p99", static_cast<double>(score.join_p99), "us");
     BenchRow(tag + "run hash", static_cast<double>(score.run_hash % 1000000), "");
@@ -328,6 +362,10 @@ int main(int argc, char** argv) {
       BenchRow(tag + "deliveries/sec", score.deliveries_per_sec, "ev/s");
       BenchRow(tag + "allocs/delivery", score.allocs_per_delivery, "alloc",
                "(gated: must stay 0.000)");
+      BenchRow(tag + "events/window", score.events_per_window, "ev");
+      BenchRow(tag + "parks/window", score.parks_per_window, "parks");
+      BenchRow(tag + "cross msgs/window", score.cross_msgs_per_window, "msgs",
+               "(gated: > 0, the storm exercises the mailbox drain)");
       if (threads == 1) {
         base_hash = score.run_hash;
         BenchRow(tag + "join p50", static_cast<double>(score.join_p50), "us");

@@ -17,8 +17,8 @@ void SendAsync(Scheduler* sched, Channel<T>* channel, T value, const std::string
 
 }  // namespace
 
-PandoraBox::Boards::Boards(Scheduler* sched, AtmNetwork* net, AtmPort* port,
-                           const Options& options, SampleSource* mic, ReportSink* report_sink)
+PandoraBox::Boards::Boards(Scheduler* sched, AtmPort* port, const Options& options,
+                           SampleSource* mic, ReportSink* report_sink)
     :  // --- server board ---
       server_cpu_(sched, options.name + ".server.cpu"),
       pool_(sched, options.name + ".pool", options.pool_buffers, report_sink),
@@ -118,7 +118,7 @@ PandoraBox::PandoraBox(Scheduler* sched, AtmNetwork* net, Options options,
                          options_.pool_buffers, report_sink,
                          options_.shard < 0 ? 0 : options_.shard)),
       mic_stream_(options_.mic_stream) {
-  boards_ = std::make_unique<Boards>(sched_, net_, port_, options_, mic_source(), report_sink_);
+  boards_ = std::make_unique<Boards>(sched_, port_, options_, mic_source(), report_sink_);
 }
 
 SampleSource* PandoraBox::mic_source() {
@@ -193,7 +193,7 @@ void PandoraBox::Crash() {
 
 void PandoraBox::Restart() {
   PANDORA_CHECK(boards_ == nullptr, "restarting a box that is not down");
-  boards_ = std::make_unique<Boards>(sched_, net_, port_, options_, mic_source(), report_sink_);
+  boards_ = std::make_unique<Boards>(sched_, port_, options_, mic_source(), report_sink_);
   net_->SetPortUp(port_, true);   // NOLINT(pandora-fault-hooks): crash lifecycle
   net_->RestartPort(port_);       // NOLINT(pandora-fault-hooks): crash lifecycle
   Start();

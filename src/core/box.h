@@ -177,8 +177,8 @@ class PandoraBox {
   // as the original single-shot constructor did; destruction order (reverse
   // of declaration) drains consumers before the pool they drain into.
   struct Boards {
-    Boards(Scheduler* sched, AtmNetwork* net, AtmPort* port, const Options& options,
-           SampleSource* mic, ReportSink* report_sink);
+    Boards(Scheduler* sched, AtmPort* port, const Options& options, SampleSource* mic,
+           ReportSink* report_sink);
 
     // Server board.
     CpuModel server_cpu_;

@@ -1,13 +1,12 @@
 // InlineCallback: a fixed-size, non-allocating stand-in for
 // std::function<void()> on the timer hot path.
 //
-// Every timer the runtime arms today captures at most two pointers
-// ({scheduler, process} for WaitUntil, {alt} for Alt timeouts), yet
+// Every timer the runtime arms captures a few pointers and integers, yet
 // std::function heap-allocates its callable and drags an RTTI-driven
 // manager along.  InlineCallback stores the callable inline in a small
-// aligned buffer and dispatches through one function pointer; the capture
-// budget is enforced at compile time, so growing a lambda past the budget
-// is a build error rather than a silent allocation.
+// pointer-aligned buffer and dispatches through one function pointer; the
+// capture budget and alignment are enforced at compile time, so growing a
+// lambda past the budget is a build error rather than a silent allocation.
 #ifndef PANDORA_SRC_RUNTIME_CALLBACK_H_
 #define PANDORA_SRC_RUNTIME_CALLBACK_H_
 
@@ -28,7 +27,7 @@ class InlineCallback {
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= Capacity, "capture too large for InlineCallback; grow a pointer "
                                           "indirection instead of the inline budget");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t));
+    static_assert(alignof(Fn) <= alignof(void*), "InlineCallback storage is pointer-aligned");
     static_assert(std::is_trivially_copyable_v<Fn>,
                   "InlineCallback requires trivially copyable captures");
     static_assert(std::is_trivially_destructible_v<Fn>);
@@ -44,12 +43,14 @@ class InlineCallback {
 
  private:
   void (*invoke_)(void*) = nullptr;
-  alignas(alignof(std::max_align_t)) unsigned char storage_[Capacity];
+  alignas(void*) unsigned char storage_[Capacity];
 };
 
-// Timer callbacks: {Scheduler*, ProcessCtx*} is the largest capture today;
-// 32 bytes leaves room for a small id alongside without touching the heap.
-using TimerCallback = InlineCallback<32>;
+// Timer callbacks: the overlay's {self, tree, node, seq} delivery capture is
+// the largest in src/ and fills 24 bytes exactly.  Every timer node and
+// mailbox entry carries one, so the size is pinned.
+using TimerCallback = InlineCallback<24>;
+static_assert(sizeof(TimerCallback) == 32);
 
 }  // namespace pandora
 

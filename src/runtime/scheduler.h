@@ -32,7 +32,7 @@
 namespace pandora {
 
 // Handle to a pending timer; allows cancellation (used by Alt timeouts).
-// Holds the wheel node plus its generation at arm time, so cancelling after
+// Holds the wheel node plus its arm `seq` (never reused), so cancelling after
 // the timer fired (and the node was recycled into a new timer) is a no-op.
 class TimerHandle {
  public:
@@ -40,21 +40,21 @@ class TimerHandle {
 
   void Cancel() {
     if (wheel_ != nullptr) {
-      wheel_->Cancel(node_, generation_);
+      wheel_->Cancel(node_, seq_);
       wheel_ = nullptr;
       node_ = nullptr;
     }
   }
-  bool active() const { return wheel_ != nullptr && wheel_->IsActive(node_, generation_); }
+  bool active() const { return wheel_ != nullptr && TimerWheel::IsActive(node_, seq_); }
 
  private:
   friend class Scheduler;
   TimerHandle(TimerWheel* wheel, TimerNode* node)
-      : wheel_(wheel), node_(node), generation_(node->generation) {}
+      : wheel_(wheel), node_(node), seq_(node->seq) {}
 
   TimerWheel* wheel_ = nullptr;
   TimerNode* node_ = nullptr;
-  uint64_t generation_ = 0;
+  uint64_t seq_ = 0;
 };
 
 // Something (a channel) holding parked values that must be dropped when the

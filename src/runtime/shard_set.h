@@ -196,6 +196,7 @@ class ShardSet {
     int32_t dst = 0;
     TimerCallback fire;
   };
+  static_assert(sizeof(MailboxEntry) <= 48);
 
   // Per-source outbox row.  A row is written only by the worker executing
   // its shard (or the coordinator between windows) and drained only by the

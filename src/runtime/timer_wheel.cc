@@ -11,7 +11,6 @@ TimerNode* TimerWheel::AllocNode() {
   if (free_ != nullptr) {
     TimerNode* node = free_;
     free_ = node->next;
-    node->next = nullptr;
     return node;
   }
   arena_.emplace_back();
@@ -19,7 +18,7 @@ TimerNode* TimerWheel::AllocNode() {
 }
 
 void TimerWheel::Recycle(TimerNode* node) {
-  ++node->generation;  // outstanding handles over this node go stale
+  // kFree, then the next arming's new seq, keep outstanding handles stale.
   node->where = TimerNode::Where::kFree;
   node->fire = TimerCallback();
   node->prev = nullptr;
@@ -66,7 +65,6 @@ void TimerWheel::Unlink(TimerNode* node) {
   } else {
     list.tail = node->prev;
   }
-  node->prev = node->next = nullptr;
   if (list.head == nullptr) {
     occupied_[node->level][node->slot >> 6] &= ~(uint64_t{1} << (node->slot & 63));
   }
@@ -82,8 +80,8 @@ TimerNode* TimerWheel::Add(Time when, TimerCallback fire) {
   return node;
 }
 
-void TimerWheel::Cancel(TimerNode* node, uint64_t generation) {
-  if (node == nullptr || node->generation != generation) {
+void TimerWheel::Cancel(TimerNode* node, uint64_t seq) {
+  if (!IsActive(node, seq)) {
     return;  // already fired, cancelled, or recycled into a new timer
   }
   if (node->where == TimerNode::Where::kWheel) {
@@ -92,7 +90,6 @@ void TimerWheel::Cancel(TimerNode* node, uint64_t generation) {
     Recycle(node);
   } else if (node->where == TimerNode::Where::kHeap) {
     node->where = TimerNode::Where::kHeapCancelled;
-    ++node->generation;
     --pending_;
     ++heap_cancelled_;
     // Lazy removal is O(1); compact once corpses outnumber live entries so
@@ -110,7 +107,7 @@ TimerWheel::Due TimerWheel::Take(TimerNode* node) {
   due.fire = node->fire;
   --pending_;
   // Recycle before the caller fires: a reentrant Add may reuse this node,
-  // and the generation bump keeps the old handle inert.
+  // and its new seq keeps the old handle inert.
   Recycle(node);
   return due;
 }
@@ -140,7 +137,6 @@ void TimerWheel::Cascade(int level, int slot) {
   // arming order, and they land before any timer armed after this cascade.
   while (node != nullptr) {
     TimerNode* next = node->next;
-    node->prev = node->next = nullptr;
     Place(node);
     node = next;
   }
@@ -340,7 +336,6 @@ void TimerWheel::Clear() {
         list.head = list.tail = nullptr;
         while (node != nullptr) {
           TimerNode* next = node->next;
-          node->prev = node->next = nullptr;
           Recycle(node);
           node = next;
         }

@@ -41,12 +41,11 @@
 namespace pandora {
 
 // One pending (or recycled) timer.  Nodes live in the wheel's arena and are
-// reused; `generation` ticks every time a node is invalidated so that a
-// stale TimerHandle over a recycled node is a safe no-op.
+// reused; `seq` (never reused) plus `where` identify one arming, so a stale
+// TimerHandle over a fired, cancelled or recycled node is a safe no-op.
 struct TimerNode {
   Time when = 0;
   uint64_t seq = 0;
-  uint64_t generation = 0;
   TimerCallback fire;
   TimerNode* prev = nullptr;
   TimerNode* next = nullptr;
@@ -60,6 +59,7 @@ struct TimerNode {
   uint8_t level = 0;
   uint8_t slot = 0;
 };
+static_assert(sizeof(TimerNode) <= 72);
 
 class TimerWheel {
  public:
@@ -70,22 +70,24 @@ class TimerWheel {
     Time when = 0;
     TimerCallback fire;
   };
+  static_assert(sizeof(Due) <= 48);
 
   TimerWheel() = default;
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  // Arms a timer; the returned node plus its current generation form a
-  // cancellation handle.
+  // Arms a timer; the returned node plus its `seq` form a cancellation handle.
   TimerNode* Add(Time when, TimerCallback fire);
 
   // O(1) for wheel nodes (unlink + recycle).  Heap nodes are marked and
   // lazily dropped at pop time, with a compaction once cancelled nodes
-  // outnumber live ones.  Stale generations are ignored.
-  void Cancel(TimerNode* node, uint64_t generation);
+  // outnumber live ones.  Stale handles are ignored.
+  void Cancel(TimerNode* node, uint64_t seq);
 
-  bool IsActive(const TimerNode* node, uint64_t generation) const {
-    return node != nullptr && node->generation == generation;
+  // Fired and cancelled armings leave their node kFree or kHeapCancelled.
+  static bool IsActive(const TimerNode* node, uint64_t seq) {
+    return node != nullptr && node->seq == seq &&
+           (node->where == TimerNode::Where::kWheel || node->where == TimerNode::Where::kHeap);
   }
 
   // Detaches and returns the earliest pending timer with deadline <= limit,

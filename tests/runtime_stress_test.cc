@@ -403,21 +403,109 @@ TEST(TimerWheelEdgeTest, FarFutureTimersFallBackToHeapAndKeepSeqOrder) {
 
 TEST(TimerWheelEdgeTest, CancelThenRefireViaRecycledNode) {
   // Cancelling A frees its intrusive node; arming B immediately reuses it.
-  // The generation counter must keep A's stale handle from touching B.
+  // Cancel() clears the handle it is called on, so repeat it via a copy.
   Scheduler sched;
   std::vector<int> fired;
   std::vector<int>* fired_ptr = &fired;
   TimerHandle a = sched.AddTimer(sched.now() + Millis(2), [fired_ptr] { fired_ptr->push_back(1); });
+  TimerHandle stale = a;
   a.Cancel();
   EXPECT_EQ(sched.pending_timer_count(), 0u);
   TimerHandle b = sched.AddTimer(sched.now() + Millis(2), [fired_ptr] { fired_ptr->push_back(2); });
-  a.Cancel();  // stale: must NOT cancel b, which recycled a's node
+  stale.Cancel();  // stale: must NOT cancel b, which recycled a's node
   EXPECT_EQ(sched.pending_timer_count(), 1u);
   sched.RunFor(Millis(3));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], 2);
   b.Cancel();  // fired already: safe no-op
   EXPECT_EQ(sched.pending_timer_count(), 0u);
+}
+
+TEST(TimerWheelEdgeTest, StaleHeapHandleStaysInertAfterPruneRecyclesItsNode) {
+  // A handle is (node, arm seq).  Cancel a timer parked on the overflow heap
+  // (deadline beyond the wheel's 2^32 us span), let the next pop prune it
+  // into the free list, and arm a new timer on the recycled node: the old
+  // handle must read inactive and its Cancel must leave the new timer alone.
+  Scheduler sched;
+  std::vector<int> fired;
+  std::vector<int>* fired_ptr = &fired;
+  TimerHandle a =
+      sched.AddTimer(sched.now() + Seconds(7'200), [fired_ptr] { fired_ptr->push_back(1); });
+  TimerHandle stale = a;  // Cancel() clears the handle it is called on
+  EXPECT_TRUE(stale.active());
+  a.Cancel();
+  EXPECT_FALSE(stale.active()) << "cancelled heap timer still reads active";
+  EXPECT_EQ(sched.pending_timer_count(), 0u);
+  sched.RunFor(Millis(1));  // the pop prunes the cancelled heap top
+  TimerHandle b = sched.AddTimer(sched.now() + Millis(2), [fired_ptr] { fired_ptr->push_back(2); });
+  EXPECT_FALSE(stale.active()) << "stale handle reads the recycled node's new timer";
+  stale.Cancel();
+  EXPECT_TRUE(b.active()) << "stale handle cancelled the timer that reused its node";
+  EXPECT_EQ(sched.pending_timer_count(), 1u);
+  sched.RunFor(Millis(3));
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], 2);
+  EXPECT_FALSE(b.active()) << "a fired wheel timer still reads active";
+}
+
+TEST(TimerWheelEdgeTest, StaleHeapHandlesStayInertAfterCompaction) {
+  // A cancel flood on the heap triggers compaction, which recycles every
+  // cancelled node at once; new far-future timers then reuse those nodes.
+  // None of the old handles may observe or cancel them.
+  constexpr int kTimers = 100;
+  Scheduler sched;
+  std::vector<int> fired;
+  std::vector<int>* fired_ptr = &fired;
+  std::vector<TimerHandle> stale;
+  for (int i = 0; i < kTimers; ++i) {
+    stale.push_back(sched.AddTimer(sched.now() + Seconds(7'200 + i),
+                                   [fired_ptr] { fired_ptr->push_back(-1); }));
+  }
+  for (TimerHandle h : stale) {
+    h.Cancel();  // cancels through a copy; `stale` keeps the originals
+  }
+  EXPECT_EQ(sched.pending_timer_count(), 0u);
+  std::vector<TimerHandle> fresh;
+  for (int i = 0; i < kTimers; ++i) {
+    fresh.push_back(sched.AddTimer(sched.now() + Seconds(7'200 + i),
+                                   [fired_ptr, i] { fired_ptr->push_back(i); }));
+  }
+  for (TimerHandle& h : stale) {
+    EXPECT_FALSE(h.active());
+    h.Cancel();
+  }
+  EXPECT_EQ(sched.pending_timer_count(), static_cast<size_t>(kTimers));
+  for (const TimerHandle& h : fresh) {
+    EXPECT_TRUE(h.active());
+  }
+  sched.RunFor(Seconds(7'200 + kTimers));
+  ASSERT_EQ(fired.size(), static_cast<size_t>(kTimers));
+  for (int i = 0; i < kTimers; ++i) {
+    EXPECT_EQ(fired[i], i);
+  }
+}
+
+TEST(TimerWheelEdgeTest, HandleIdentityIsNodePlusArmSeq) {
+  // The wheel-level contract the handles above rely on: a pruned heap node
+  // is the next one handed out, with a fresh seq, and only the new arming
+  // reads active.
+  TimerWheel wheel;
+  TimerNode* a = wheel.Add(Time{1} << 33, TimerCallback([] {}));
+  const uint64_t a_seq = a->seq;
+  EXPECT_TRUE(TimerWheel::IsActive(a, a_seq));
+  wheel.Cancel(a, a_seq);
+  EXPECT_FALSE(TimerWheel::IsActive(a, a_seq));
+  EXPECT_FALSE(wheel.PopDue(Millis(1)).found);  // prunes the cancelled top
+  TimerNode* b = wheel.Add(Millis(2), TimerCallback([] {}));
+  ASSERT_EQ(b, a) << "pruned heap node was not recycled";
+  EXPECT_NE(b->seq, a_seq);
+  EXPECT_FALSE(TimerWheel::IsActive(a, a_seq));
+  EXPECT_TRUE(TimerWheel::IsActive(b, b->seq));
+  wheel.Cancel(a, a_seq);
+  EXPECT_EQ(wheel.pending_count(), 1u);
+  const TimerWheel::Due due = wheel.PopDue(Millis(2));
+  EXPECT_TRUE(due.found);
+  EXPECT_FALSE(TimerWheel::IsActive(b, b->seq)) << "fired node still reads active";
 }
 
 TEST(TimerWheelEdgeTest, CancellationFloodKeepsPendingCountBounded) {
