@@ -19,14 +19,10 @@
 // BENCH_engine.json; CI fails if allocs/event leaves zero or events/sec
 // regresses more than 20 % against the checked-in numbers (plain build
 // only; sanitizers change both numbers by design).
-#include <execinfo.h>
-
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -36,58 +32,7 @@
 #include "src/runtime/channel.h"
 #include "src/runtime/random.h"
 #include "src/runtime/scheduler.h"
-
-// --- global counting allocator ----------------------------------------------
-// Counts every path into the heap; the storms below read the counter around
-// the measured region.  Single-threaded by repo contract (pandora-lint bans
-// threads in src/), so a plain counter is exact.
-namespace {
-uint64_t g_alloc_count = 0;
-bool g_trap_allocs = false;  // set PANDORA_BENCH_TRAP=1: abort on measured-pass alloc
-
-void* CountedAlloc(std::size_t n) {
-  ++g_alloc_count;
-  if (g_trap_allocs) {
-    g_trap_allocs = false;  // no recursion while reporting
-    void* frames[32];
-    int depth = backtrace(frames, 32);
-    backtrace_symbols_fd(frames, depth, 2);
-    std::fputs("---\n", stderr);
-    g_trap_allocs = true;
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t n, std::size_t align) {
-  ++g_alloc_count;
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n == 0 ? 1 : n) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "tests/counting_allocator.h"
 
 namespace pandora {
 namespace {
@@ -121,15 +66,15 @@ StormScore RunStorm(uint64_t warmup_iters, uint64_t iters) {
   storm.Drive(sched, warmup_iters);
 
   const uint64_t events_before = sched.events();
-  const uint64_t allocs_before = g_alloc_count;
+  const uint64_t allocs_before = HeapAllocCount();
   if (std::getenv("PANDORA_BENCH_TRAP") != nullptr) {
-    g_trap_allocs = true;  // debugging aid: die loudly at the stray alloc
+    TraceHeapAllocs(true);  // debugging aid: print each stray alloc's stack
   }
   const auto wall_before = std::chrono::steady_clock::now();
   storm.Drive(sched, iters);
   const auto wall_after = std::chrono::steady_clock::now();
-  g_trap_allocs = false;
-  const uint64_t allocs = g_alloc_count - allocs_before;
+  TraceHeapAllocs(false);
+  const uint64_t allocs = HeapAllocCount() - allocs_before;
   const uint64_t events = sched.events() - events_before;
 
   StormScore score;

@@ -19,12 +19,10 @@
 //     thread count also reports events, cross-shard messages and barrier
 //     parks per window (E19's load rows), so the drain's share is visible.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,49 +35,7 @@
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
 #include "src/runtime/shard_set.h"
-
-// --- global counting allocator ----------------------------------------------
-// Same shape as bench_shard's: the Part 4 measured region is multi-threaded
-// (shard workers), so the count is a relaxed atomic — exact in total, order
-// irrelevant.
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-
-void* CountedAlloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t n, std::size_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n == 0 ? 1 : n) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "tests/counting_allocator.h"
 
 namespace {
 
@@ -140,6 +96,10 @@ struct ShardedStormScore {
   double events_per_window = 0.0;
   double parks_per_window = 0.0;
   double cross_msgs_per_window = 0.0;
+  // Data-plane bytes per receiver (record + child row + count): the
+  // footprint a delivery streams through the cache.
+  size_t hot_bytes_per_receiver = 0;
+  int fanout = 0;
 };
 
 int64_t TotalDelivered(const ShardedOverlayMulticast& multicast, int receivers) {
@@ -201,11 +161,11 @@ ShardedStormScore RunShardedStorm(int shards, int threads, bool traced) {
   const uint64_t windows_before = set.windows();
   const uint64_t parks_before = set.barrier_parks();
   const uint64_t cross_before = set.cross_shard_messages();
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs_before = HeapAllocCount();
   const auto wall_before = std::chrono::steady_clock::now();
   set.RunUntilQuiescent();
   const auto wall_after = std::chrono::steady_clock::now();
-  const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const uint64_t allocs = HeapAllocCount() - allocs_before;
   const int64_t delivered_after = TotalDelivered(multicast, kShardedReceivers);
   const int64_t delivered = delivered_after - delivered_before;
   const uint64_t events = TotalEvents(set, delivered_after) - events_before;
@@ -219,6 +179,8 @@ ShardedStormScore RunShardedStorm(int shards, int threads, bool traced) {
   score.allocs_per_delivery =
       delivered > 0 ? static_cast<double>(allocs) / static_cast<double>(delivered) : 0.0;
   score.run_hash = multicast.RunHash();
+  score.hot_bytes_per_receiver = multicast.hot_bytes_per_receiver();
+  score.fanout = trees.fanout;
   score.repairs = multicast.repairs();
   score.emitted = multicast.emitted();
   if (windows > 0) {
@@ -373,6 +335,9 @@ int main(int argc, char** argv) {
                  "(gated: a regression here is a repair-path stall)");
         BenchRow(tag + "re-parents", static_cast<double>(score.repairs), "");
         BenchRow(tag + "run hash", static_cast<double>(score.run_hash % 1000000), "");
+        BenchRow("fanout", score.fanout, "");
+        BenchRow("hot bytes/receiver", static_cast<double>(score.hot_bytes_per_receiver), "B",
+                 "(k=2 record + child row + count; gated: <= 64 + 4*fanout + 1)");
       } else if (score.run_hash != base_hash) {
         std::fprintf(stderr, "FATAL: sharded overlay run hash diverged at %d threads\n",
                      threads);

@@ -32,59 +32,15 @@
 // oversubscribed hosts) and — only when the runner actually has >= 8
 // hardware threads — >= 3x speedup at 8 threads.  The "hardware threads"
 // row is emitted so the gate can tell a slow engine from a small machine.
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 
 #include "bench/bench_common.h"
+#include "tests/counting_allocator.h"
 #include "tests/shard_harness.h"
-
-// --- global counting allocator ----------------------------------------------
-// Unlike bench_engine's plain counter, the measured region here is
-// multi-threaded (shard workers), so the count is a relaxed atomic: exact in
-// total, order irrelevant.
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-
-void* CountedAlloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t n, std::size_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n == 0 ? 1 : n) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace pandora {
 namespace {
@@ -129,11 +85,11 @@ ShardScore RunConfig(int shards, int threads, bool traced = false) {
   const uint64_t windows_before = set.windows();
   const uint64_t parks_before = set.barrier_parks();
   const uint64_t cross_before = set.cross_shard_messages();
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs_before = HeapAllocCount();
   const auto wall_before = std::chrono::steady_clock::now();
   world.RunUntil(Seconds(12));
   const auto wall_after = std::chrono::steady_clock::now();
-  const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const uint64_t allocs = HeapAllocCount() - allocs_before;
   const uint64_t events = world.TotalContextSwitches() - events_before;
   const uint64_t windows = set.windows() - windows_before;
   const uint64_t parks = set.barrier_parks() - parks_before;

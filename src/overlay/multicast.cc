@@ -123,7 +123,7 @@ void OverlayMulticast::Deliver(int tree, int node, int64_t seq) {
     PANDORA_TRACE_HISTOGRAM(sched_->trace(), join_hist_site_, "overlay.join_to_first_segment",
                             "us", latency);
   }
-  for (int c : trees_->children[static_cast<size_t>(tree)][static_cast<size_t>(node)]) {
+  for (int c : trees_->children(tree, node)) {
     RelayTo(tree, node, c, seq);
   }
 }

@@ -1,8 +1,6 @@
 #include "src/overlay/repair.h"
 
-#include <algorithm>
-
-#include "src/runtime/check.h"
+#include <span>
 
 namespace pandora {
 
@@ -19,10 +17,7 @@ bool TreeRepair::Detach(int r) {
     std::vector<int>& parent = trees_->parent[static_cast<size_t>(t)];
     const int p = parent[static_cast<size_t>(r)];
     detach_parent_[static_cast<size_t>(t) * static_cast<size_t>(n) + static_cast<size_t>(r)] = p;
-    std::vector<int>& siblings = p == kOverlaySource
-                                     ? trees_->root_children[static_cast<size_t>(t)]
-                                     : trees_->children[static_cast<size_t>(t)][static_cast<size_t>(p)];
-    siblings.erase(std::find(siblings.begin(), siblings.end(), r));
+    trees_->RemoveChild(t, p, r);
     parent[static_cast<size_t>(r)] = kOverlayDetached;
   }
   return true;
@@ -37,7 +32,7 @@ std::vector<RepairAction> TreeRepair::Repair(int r) {
   }
   const int n = trees_->receiver_count();
   for (int t = 0; t < trees_->stripes; ++t) {
-    std::vector<int>& orphans = trees_->children[static_cast<size_t>(t)][static_cast<size_t>(r)];
+    const std::span<const int> orphans = trees_->children(t, r);
     if (orphans.empty()) {
       continue;
     }
@@ -45,8 +40,8 @@ std::vector<RepairAction> TreeRepair::Repair(int r) {
         detach_parent_[static_cast<size_t>(t) * static_cast<size_t>(n) + static_cast<size_t>(r)];
     // Detach the whole batch first: an orphan must never be picked as
     // another orphan's new parent while its own chain still runs through r.
-    std::vector<int> batch(orphans.begin(), orphans.end());
-    orphans.clear();
+    const std::vector<int> batch(orphans.begin(), orphans.end());
+    trees_->child_count[static_cast<size_t>(r)] = 0;
     for (int c : batch) {
       const int np = FindParent(t, c, hint);
       Link(t, c, np);
@@ -68,8 +63,7 @@ std::vector<RepairAction> TreeRepair::Join(int r) {
       if (x == r || trees_->absent(x)) {
         continue;
       }
-      if (static_cast<int>(trees_->children[static_cast<size_t>(t)][static_cast<size_t>(x)].size()) >=
-          trees_->fanout) {
+      if (static_cast<int>(trees_->children(t, x).size()) >= trees_->fanout) {
         continue;
       }
       if (Rooted(t, x)) {
@@ -128,8 +122,7 @@ int TreeRepair::FindParent(int t, int orphan, int hint) {
   int hops = 0;
   while (at >= 0 && ++hops <= n) {
     if (!trees_->absent(at) &&
-        static_cast<int>(trees_->children[static_cast<size_t>(t)][static_cast<size_t>(at)].size()) <
-            trees_->fanout &&
+        static_cast<int>(trees_->children(t, at).size()) < trees_->fanout &&
         Rooted(t, at)) {
       return at;
     }
@@ -143,8 +136,7 @@ int TreeRepair::FindParent(int t, int orphan, int hint) {
   //    subtree (attaching there would make a cycle) and dangling nodes.
   for (int x = t; x < n; x += trees_->stripes) {
     if (trees_->absent(x) || InSubtree(t, orphan, x) ||
-        static_cast<int>(trees_->children[static_cast<size_t>(t)][static_cast<size_t>(x)].size()) >=
-            trees_->fanout ||
+        static_cast<int>(trees_->children(t, x).size()) >= trees_->fanout ||
         !Rooted(t, x)) {
       continue;
     }
@@ -159,11 +151,7 @@ int TreeRepair::FindParent(int t, int orphan, int hint) {
 
 void TreeRepair::Link(int t, int node, int p) {
   trees_->parent[static_cast<size_t>(t)][static_cast<size_t>(node)] = p;
-  if (p == kOverlaySource) {
-    trees_->root_children[static_cast<size_t>(t)].push_back(node);
-  } else {
-    trees_->children[static_cast<size_t>(t)][static_cast<size_t>(p)].push_back(node);
-  }
+  trees_->AddChild(t, p, node);
 }
 
 }  // namespace pandora

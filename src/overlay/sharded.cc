@@ -25,33 +25,34 @@ ShardedOverlayMulticast::ShardedOverlayMulticast(ShardSet* shards,
   for (int i = 0; i < s; ++i) {
     scheds_.push_back(&shards_->shard(i));
   }
-  if (s > 1) {
+  emitted_by_tree_.assign(static_cast<size_t>(k), 0);
+  records_per_receiver_ = (k + kStripesPerRecord - 1) / kStripesPerRecord;
+  records_.resize(static_cast<size_t>(n) * static_cast<size_t>(records_per_receiver_));
+  cold_.resize(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    const OverlayLink& link = topology_->links[static_cast<size_t>(r)];
     // The access links ARE the conservative-sync slack: every cross-shard
     // hop (and drop notice) lands at depart + child's access latency, so
     // the slowest admissible lookahead is the fastest link in the city.
-    for (const OverlayLink& link : topology_->links) {
-      PANDORA_CHECK(link.latency >= shards_->lookahead(),
-                    "overlay access latency below the ShardSet lookahead would break the "
-                    "cross-shard delivery contract");
-    }
-  }
-  emitted_by_tree_.assign(static_cast<size_t>(k), 0);
-  stats_.assign(static_cast<size_t>(n), {});
-  delivered_by_tree_.assign(static_cast<size_t>(n) * static_cast<size_t>(k), 0);
-  last_played_seq_.assign(static_cast<size_t>(n) * static_cast<size_t>(k), -1);
-  lane_busy_.assign(static_cast<size_t>(n) * static_cast<size_t>(k), 0);
-  lane_service_.reserve(static_cast<size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    const int64_t bps =
-        std::max<int64_t>(1, topology_->links[static_cast<size_t>(r)].bits_per_second);
+    PANDORA_CHECK(s == 1 || link.latency >= shards_->lookahead(),
+                  "overlay access latency below the ShardSet lookahead would break the "
+                  "cross-shard delivery contract");
+    // The access uplink is dimensioned 1/k per stripe, so one copy occupies
+    // the lane for k times the raw wire time.
+    const int64_t bps = std::max<int64_t>(1, link.bits_per_second);
     const int64_t us = (params_.segment_bytes * 8 * static_cast<int64_t>(kSecond) *
                             static_cast<int64_t>(k) +
                         bps - 1) /
                        bps;
-    lane_service_.push_back(static_cast<Duration>(std::max<int64_t>(1, us)));
+    const int64_t service = std::max<int64_t>(1, us);
+    PANDORA_CHECK(link.latency <= INT32_MAX && service <= INT32_MAX && s <= UINT16_MAX,
+                  "latency, lane service time and shard id must fit their record fields");
+    ReceiverRecord& rec = records_[record_index(r, 0)];
+    rec.latency = static_cast<int32_t>(link.latency);
+    rec.lane_service = static_cast<int32_t>(service);
+    rec.lossy = link.loss_rate > 0.0 ? 1 : 0;
+    rec.shard = static_cast<uint16_t>(shard_of(r));
   }
-  join_time_.assign(static_cast<size_t>(n), 0);
-  awaiting_first_.assign(static_cast<size_t>(n), 0);
   join_log_.resize(static_cast<size_t>(s));
   for (auto& log : join_log_) {
     // Steady-state allocation-free: capacity for every owned receiver's
@@ -67,8 +68,8 @@ void ShardedOverlayMulticast::Start(Time emit_until) {
   const Time now = shards_->now();
   for (int r = 0; r < n; ++r) {
     if (!trees_->absent(r)) {
-      join_time_[static_cast<size_t>(r)] = now;
-      awaiting_first_[static_cast<size_t>(r)] = 1;
+      cold_[static_cast<size_t>(r)].join_time = now;
+      records_[record_index(r, 0)].awaiting_first = 1;
     }
   }
   ShardedOverlayMulticast* self = this;
@@ -91,9 +92,6 @@ void ShardedOverlayMulticast::Emit() {
 
 bool ShardedOverlayMulticast::LossDraw(int tree, int child, int64_t seq,
                                        double loss_rate) const {
-  if (loss_rate <= 0.0) {
-    return false;
-  }
   // SplitMix64 finalizer over a per-copy key: the draw belongs to the edge
   // copy, not to a generator whose stream the partition could reorder.
   uint64_t x = seed_;
@@ -108,7 +106,7 @@ bool ShardedOverlayMulticast::LossDraw(int tree, int child, int64_t seq,
 }
 
 void ShardedOverlayMulticast::CountDrop(int child, int kind) {
-  OverlayReceiverStats& st = stats_[static_cast<size_t>(child)];
+  ReceiverCold& st = cold_[static_cast<size_t>(child)];
   if (kind == kDropQueue) {
     ++st.dropped_queue;
   } else if (kind == kDropLoss) {
@@ -119,95 +117,94 @@ void ShardedOverlayMulticast::CountDrop(int child, int kind) {
 }
 
 void ShardedOverlayMulticast::RelayTo(int tree, int parent, int child, int64_t seq) {
-  const int ps = parent == kOverlaySource ? 0 : shard_of(parent);
-  const int cs = shard_of(child);
+  const ReceiverRecord& to = records_[record_index(child, 0)];
+  const int ps = parent == kOverlaySource ? 0 : records_[record_index(parent, 0)].shard;
+  const int cs = to.shard;
   Scheduler* sched = scheds_[static_cast<size_t>(ps)];
   const Time now = sched->now();
-  const OverlayLink& link = topology_->links[static_cast<size_t>(child)];
+  const Duration latency = to.latency;
+  ReceiverCold& child_cold = cold_[static_cast<size_t>(child)];
   ShardedOverlayMulticast* self = this;
   if (trees_->absent(child)) {
     // Detached between arming and relay.  The miss belongs to the child's
     // counters; across shards it is charged when the copy would have
     // arrived, keeping every stat single-writer.
     if (cs == ps) {
-      ++stats_[static_cast<size_t>(child)].missed_absent;
+      ++child_cold.missed_absent;
     } else {
       const int kind = kDropAbsent;
-      shards_->Post(ps, cs, now + link.latency,
+      shards_->Post(ps, cs, now + latency,
                     TimerCallback([self, child, kind] { self->CountDrop(child, kind); }));
     }
     return;
   }
   Time depart = now;
   if (parent != kOverlaySource) {
-    // Serialize on the parent's per-stripe uplink lane; over-budget backlog
-    // drops THIS copy and leaves the siblings' timing untouched (P5).
-    Time& busy = lane_busy(tree, parent);
-    const Duration service = lane_service_[static_cast<size_t>(parent)];
-    const Time start = std::max(busy, now);
-    if (start - now > params_.queue_budget * service) {
+    // Serialize on the parent's uplink lane; over-budget backlog drops THIS
+    // copy and leaves the siblings' timing untouched (P5).
+    ReceiverRecord& from = records_[record_index(parent, 0)];
+    const Time start = std::max(from.lane_busy, now);
+    if (start - now > params_.queue_budget * from.lane_service) {
       if (cs == ps) {
-        ++stats_[static_cast<size_t>(child)].dropped_queue;
+        ++child_cold.dropped_queue;
       } else {
         const int kind = kDropQueue;
-        shards_->Post(ps, cs, now + link.latency,
+        shards_->Post(ps, cs, now + latency,
                       TimerCallback([self, child, kind] { self->CountDrop(child, kind); }));
       }
       return;
     }
-    busy = start + service;
-    depart = busy;
+    from.lane_busy = start + from.lane_service;
+    depart = from.lane_busy;
   }
-  if (LossDraw(tree, child, seq, link.loss_rate)) {
+  if (to.lossy != 0 &&
+      LossDraw(tree, child, seq, topology_->links[static_cast<size_t>(child)].loss_rate)) {
     if (cs == ps) {
-      ++stats_[static_cast<size_t>(child)].dropped_loss;
+      ++child_cold.dropped_loss;
     } else {
       const int kind = kDropLoss;
-      shards_->Post(ps, cs, depart + link.latency,
+      shards_->Post(ps, cs, depart + latency,
                     TimerCallback([self, child, kind] { self->CountDrop(child, kind); }));
     }
     return;
   }
   const int node = child;
   if (cs == ps) {
-    sched->AddTimer(depart + link.latency,
+    sched->AddTimer(depart + latency,
                     TimerCallback([self, tree, node, seq] { self->Deliver(tree, node, seq); }));
   } else {
-    shards_->Post(ps, cs, depart + link.latency,
+    shards_->Post(ps, cs, depart + latency,
                   TimerCallback([self, tree, node, seq] { self->Deliver(tree, node, seq); }));
   }
 }
 
 void ShardedOverlayMulticast::Deliver(int tree, int node, int64_t seq) {
   // Runs on `node`'s shard.
+  ReceiverCold& cold = cold_[static_cast<size_t>(node)];
   if (trees_->absent(node)) {
-    ++stats_[static_cast<size_t>(node)].missed_absent;
+    ++cold.missed_absent;
     return;
   }
-  OverlayReceiverStats& st = stats_[static_cast<size_t>(node)];
-  int64_t& last = last_played_seq_[static_cast<size_t>(node) *
-                                       static_cast<size_t>(trees_->stripes) +
-                                   static_cast<size_t>(tree)];
-  if (seq <= last) {
-    ++st.dropped_late;
+  ReceiverRecord& rec = records_[record_index(node, 0)];
+  StripeTally& tally = records_[record_index(node, tree)].stripe[tree % kStripesPerRecord];
+  if (seq <= tally.last_played) {
+    ++cold.dropped_late;
     return;
   }
-  last = seq;
-  const int s = shard_of(node);
+  tally.last_played = seq;
+  const int s = rec.shard;
   const Time now = scheds_[static_cast<size_t>(s)]->now();
-  ++st.delivered;
-  st.last_delivery = now;
-  ++delivered_by_tree_[static_cast<size_t>(node) * static_cast<size_t>(trees_->stripes) +
-                       static_cast<size_t>(tree)];
-  if (awaiting_first_[static_cast<size_t>(node)] != 0) {
-    awaiting_first_[static_cast<size_t>(node)] = 0;
-    const Duration latency = now - join_time_[static_cast<size_t>(node)];
+  ++tally.delivered;
+  rec.last_delivery = now;
+  if (rec.awaiting_first != 0) {
+    rec.awaiting_first = 0;
+    const Duration latency = now - cold.join_time;
     join_log_[static_cast<size_t>(s)].push_back({now, node, latency});
     PANDORA_TRACE_HISTOGRAM(scheds_[static_cast<size_t>(s)]->trace(),
                             join_hist_sites_[static_cast<size_t>(s)],
                             "overlay.join_to_first_segment", "us", latency);
   }
-  for (int c : trees_->children[static_cast<size_t>(tree)][static_cast<size_t>(node)]) {
+  for (int c : trees_->children(tree, node)) {
     RelayTo(tree, node, c, seq);
   }
 }
@@ -217,7 +214,7 @@ void ShardedOverlayMulticast::Leave(int r) {
     ++churn_skipped_;
     return;
   }
-  awaiting_first_[static_cast<size_t>(r)] = 0;
+  records_[record_index(r, 0)].awaiting_first = 0;
   ShardedOverlayMulticast* self = this;
   shards_->PostGlobal(shards_->now() + params_.repair_delay,
                       TimerCallback([self, r] { self->RepairNow(r); }));
@@ -229,8 +226,8 @@ void ShardedOverlayMulticast::Join(int r) {
     ++churn_skipped_;
     return;
   }
-  join_time_[static_cast<size_t>(r)] = shards_->now();
-  awaiting_first_[static_cast<size_t>(r)] = 1;
+  cold_[static_cast<size_t>(r)].join_time = shards_->now();
+  records_[record_index(r, 0)].awaiting_first = 1;
   for (const RepairAction& a : actions) {
     repair_log_.push_back({shards_->now(), a.tree, a.orphan, a.new_parent});
   }
@@ -271,7 +268,9 @@ uint64_t ShardedOverlayMulticast::RunHash() const {
   for (int64_t e : emitted_by_tree_) {
     hash = FnvMix(hash, static_cast<uint64_t>(e));
   }
-  for (const OverlayReceiverStats& st : stats_) {
+  const int n = topology_->receiver_count();
+  for (int r = 0; r < n; ++r) {
+    const OverlayReceiverStats st = stats(r);
     hash = FnvMix(hash, static_cast<uint64_t>(st.delivered));
     hash = FnvMix(hash, static_cast<uint64_t>(st.dropped_queue));
     hash = FnvMix(hash, static_cast<uint64_t>(st.dropped_loss));
@@ -279,8 +278,10 @@ uint64_t ShardedOverlayMulticast::RunHash() const {
     hash = FnvMix(hash, static_cast<uint64_t>(st.missed_absent));
     hash = FnvMix(hash, static_cast<uint64_t>(st.last_delivery));
   }
-  for (int64_t d : delivered_by_tree_) {
-    hash = FnvMix(hash, static_cast<uint64_t>(d));
+  for (int r = 0; r < n; ++r) {
+    for (int t = 0; t < trees_->stripes; ++t) {
+      hash = FnvMix(hash, static_cast<uint64_t>(delivered_on_tree(r, t)));
+    }
   }
   // The join log in its canonical (time, receiver) order.
   std::vector<JoinRecord> merged;

@@ -26,6 +26,11 @@
 // aggregate RunHash folds state in receiver order plus a time-sorted join
 // log, so one seed yields one hash across thread counts.
 //
+// At city scale the data plane is bound by memory, not instructions, so
+// everything Deliver and RelayTo touch for one receiver shares one 64-byte
+// record at k = 2; drop counters and join instants sit in a cold side array
+// (layout: DESIGN.md section 14.3).
+//
 // Churn is control-plane: Leave/Join/repair mutate the shared StripedTrees,
 // which the data plane reads during windows, so the churn driver runs every
 // event as a ShardSet::PostGlobal stop-the-world callback (workers parked,
@@ -66,16 +71,35 @@ class ShardedOverlayMulticast {
   void Leave(int r);
   void Join(int r);
 
-  int shard_of(int r) const { return r % shards_->shard_count(); }
+  int shard_of(int r) const { return r % static_cast<int>(scheds_.size()); }
 
   // --- Observability (coordinator-side: between Run* calls) -----------------
 
   int64_t emitted() const { return next_seq_; }
   int64_t emitted_on_tree(int t) const { return emitted_by_tree_[static_cast<size_t>(t)]; }
-  const OverlayReceiverStats& stats(int r) const { return stats_[static_cast<size_t>(r)]; }
+  // Assembled from the receiver's record and cold counters.  Inline, so a
+  // caller reading one field loads only that field's storage.
+  OverlayReceiverStats stats(int r) const {
+    const ReceiverCold& cold = cold_[static_cast<size_t>(r)];
+    OverlayReceiverStats st;
+    for (int t = 0; t < trees_->stripes; ++t) {
+      st.delivered += delivered_on_tree(r, t);
+    }
+    st.dropped_queue = cold.dropped_queue;
+    st.dropped_loss = cold.dropped_loss;
+    st.dropped_late = cold.dropped_late;
+    st.missed_absent = cold.missed_absent;
+    st.last_delivery = records_[record_index(r, 0)].last_delivery;
+    return st;
+  }
   int64_t delivered_on_tree(int r, int t) const {
-    return delivered_by_tree_[static_cast<size_t>(r) * static_cast<size_t>(trees_->stripes) +
-                              static_cast<size_t>(t)];
+    return records_[record_index(r, t)].stripe[t % kStripesPerRecord].delivered;
+  }
+  // Data-plane bytes per receiver: its record(s), child row and child
+  // count.  Deterministic; E18 reports it.
+  size_t hot_bytes_per_receiver() const {
+    return static_cast<size_t>(records_per_receiver_) * sizeof(ReceiverRecord) +
+           static_cast<size_t>(trees_->fanout) * sizeof(int) + sizeof(uint8_t);
   }
   int64_t repairs() const { return repairs_; }
   int64_t churn_skipped() const { return churn_skipped_; }
@@ -102,6 +126,39 @@ class ShardedOverlayMulticast {
     Duration latency = 0;
   };
   enum DropKind : int { kDropQueue = 0, kDropLoss = 1, kDropAbsent = 2 };
+  // Per-stripe play state: the highest seq played (a re-parent can leave
+  // old-path copies in flight; only strictly increasing seqs play, the rest
+  // count as dropped_late) and the copies delivered.
+  struct StripeTally {
+    int64_t last_played = -1;
+    int64_t delivered = 0;
+  };
+  static constexpr int kStripesPerRecord = 2;
+  // Everything Deliver and RelayTo touch for one receiver, in one cache
+  // line at k <= 2.  A k-stripe receiver owns ceil(k / 2) consecutive
+  // records; the first one's head fields are live, and record i holds the
+  // tallies of stripes 2i and 2i + 1.
+  struct alignas(64) ReceiverRecord {
+    Time last_delivery = 0;
+    // Uplink lane busy-until.  A receiver relays only in its interior tree
+    // (InteriorDisjoint), so it has one lane, not k.
+    Time lane_busy = 0;
+    int32_t latency = 0;       // access latency, us (the link's, cached)
+    int32_t lane_service = 0;  // us per copy on the lane
+    uint8_t awaiting_first = 0;
+    uint8_t lossy = 0;   // loss_rate > 0: only then is the cold link read
+    uint16_t shard = 0;  // shard_of(r), cached: no division per copy
+    StripeTally stripe[kStripesPerRecord];
+  };
+  static_assert(sizeof(ReceiverRecord) == 64, "the k = 2 record is one cache line");
+  // Per-receiver state only churn, drops and joins touch.
+  struct ReceiverCold {
+    int64_t dropped_queue = 0;
+    int64_t dropped_loss = 0;
+    int64_t dropped_late = 0;
+    int64_t missed_absent = 0;
+    Time join_time = 0;  // last (re)join instant
+  };
 
   void Emit();
   void Deliver(int tree, int node, int64_t seq);
@@ -114,10 +171,11 @@ class ShardedOverlayMulticast {
   // Stateless per-copy loss draw — a pure function of (seed, tree, child,
   // seq), independent of event order and shard layout.
   bool LossDraw(int tree, int child, int64_t seq, double loss_rate) const;
-  Scheduler* sched_of(int r) { return scheds_[static_cast<size_t>(shard_of(r))]; }
-  Time& lane_busy(int tree, int node) {
-    return lane_busy_[static_cast<size_t>(node) * static_cast<size_t>(trees_->stripes) +
-                      static_cast<size_t>(tree)];
+  // The record holding receiver r's stripe-t tally; record_index(r, 0) also
+  // holds r's head fields.
+  size_t record_index(int r, int t) const {
+    return static_cast<size_t>(r) * static_cast<size_t>(records_per_receiver_) +
+           static_cast<size_t>(t / kStripesPerRecord);
   }
 
   ShardSet* shards_;
@@ -133,13 +191,9 @@ class ShardedOverlayMulticast {
   std::vector<int64_t> emitted_by_tree_;
   // Per-receiver state: indexed by receiver id, written only by the owning
   // shard during windows (or by the coordinator stop-the-world).
-  std::vector<OverlayReceiverStats> stats_;
-  std::vector<int64_t> delivered_by_tree_;  // [r * stripes + t]
-  std::vector<int64_t> last_played_seq_;    // [r * stripes + t]
-  std::vector<Time> lane_busy_;             // [r * stripes + t]
-  std::vector<Duration> lane_service_;      // per receiver: us per copy per lane
-  std::vector<Time> join_time_;
-  std::vector<uint8_t> awaiting_first_;
+  int records_per_receiver_ = 1;
+  std::vector<ReceiverRecord> records_;  // [r * records_per_receiver_ ...]
+  std::vector<ReceiverCold> cold_;
   // Per-shard completed-join logs (outer index = shard; single writer).
   std::vector<std::vector<JoinRecord>> join_log_;
   std::vector<TraceSiteId> join_hist_sites_;  // per shard (per-recorder ids)

@@ -15,32 +15,24 @@ namespace {
 // position — which is what makes the two policies share a shape.
 struct FillState {
   std::deque<int> open;  // parents with spare slots; front is oldest
-  int fanout = 0;
-  std::vector<int>* parent = nullptr;
-  std::vector<std::vector<int>>* children = nullptr;
-  std::vector<int>* root_children = nullptr;
-  std::vector<int> slots_used;  // per receiver; root tracked separately
-  int root_slots_used = 0;
+  StripedTrees* trees = nullptr;
+  int t = 0;
 
   void Attach(int node, bool interior) {
     while (!open.empty()) {
-      int head = open.front();
-      int used = head == kOverlaySource ? root_slots_used : slots_used[static_cast<size_t>(head)];
-      if (used < fanout) {
+      const int head = open.front();
+      const size_t used = head == kOverlaySource
+                              ? trees->root_children[static_cast<size_t>(t)].size()
+                              : trees->children(t, head).size();
+      if (used < static_cast<size_t>(trees->fanout)) {
         break;
       }
       open.pop_front();
     }
     PANDORA_CHECK(!open.empty());
-    int p = open.front();
-    if (p == kOverlaySource) {
-      ++root_slots_used;
-      root_children->push_back(node);
-    } else {
-      ++slots_used[static_cast<size_t>(p)];
-      (*children)[static_cast<size_t>(p)].push_back(node);
-    }
-    (*parent)[static_cast<size_t>(node)] = p;
+    const int p = open.front();
+    trees->AddChild(t, p, node);
+    trees->parent[static_cast<size_t>(t)][static_cast<size_t>(node)] = p;
     if (interior) {
       open.push_back(node);
     }
@@ -60,8 +52,9 @@ StripedTrees TreeBuilder::Build(const OverlayTopology& topology, int stripes, Tr
   trees.fanout = fanout;
   trees.policy = policy;
   trees.parent.assign(static_cast<size_t>(stripes), std::vector<int>(static_cast<size_t>(n), kOverlayDetached));
-  trees.children.assign(static_cast<size_t>(stripes),
-                        std::vector<std::vector<int>>(static_cast<size_t>(n)));
+  PANDORA_CHECK(fanout <= UINT8_MAX, "child counts are bytes");
+  trees.child_slots.assign(static_cast<size_t>(n) * static_cast<size_t>(fanout), kOverlayDetached);
+  trees.child_count.assign(static_cast<size_t>(n), 0);
   trees.root_children.assign(static_cast<size_t>(stripes), {});
 
   for (int t = 0; t < stripes; ++t) {
@@ -83,11 +76,8 @@ StripedTrees TreeBuilder::Build(const OverlayTopology& topology, int stripes, Tr
     }
 
     FillState fill;
-    fill.fanout = fanout;
-    fill.parent = &trees.parent[static_cast<size_t>(t)];
-    fill.children = &trees.children[static_cast<size_t>(t)];
-    fill.root_children = &trees.root_children[static_cast<size_t>(t)];
-    fill.slots_used.assign(static_cast<size_t>(n), 0);
+    fill.trees = &trees;
+    fill.t = t;
     fill.open.push_back(kOverlaySource);
     // Interiors first (they open slots as they land), then the leaves.
     for (int r : interior) {
@@ -98,6 +88,29 @@ StripedTrees TreeBuilder::Build(const OverlayTopology& topology, int stripes, Tr
     }
   }
   return trees;
+}
+
+void StripedTrees::AddChild(int t, int p, int c) {
+  if (p == kOverlaySource) {
+    root_children[static_cast<size_t>(t)].push_back(c);
+    return;
+  }
+  PANDORA_CHECK(interior_tree(p) == t, "only a tree's interior group relays in it");
+  uint8_t& count = child_count[static_cast<size_t>(p)];
+  PANDORA_CHECK(count < fanout, "receiver child row has no free slot");
+  child_slots[static_cast<size_t>(p) * static_cast<size_t>(fanout) + count] = c;
+  ++count;
+}
+
+void StripedTrees::RemoveChild(int t, int p, int c) {
+  if (p == kOverlaySource) {
+    std::vector<int>& list = root_children[static_cast<size_t>(t)];
+    list.erase(std::find(list.begin(), list.end(), c));
+    return;
+  }
+  uint8_t& count = child_count[static_cast<size_t>(p)];
+  int* row = child_slots.data() + static_cast<size_t>(p) * static_cast<size_t>(fanout);
+  count = static_cast<uint8_t>(std::remove(row, row + count, c) - row);
 }
 
 bool SpansAll(const StripedTrees& trees) {
@@ -124,8 +137,8 @@ bool InteriorDisjoint(const StripedTrees& trees) {
   const int n = trees.receiver_count();
   for (int t = 0; t < trees.stripes; ++t) {
     for (int r = 0; r < n; ++r) {
-      if (!trees.children[static_cast<size_t>(t)][static_cast<size_t>(r)].empty() &&
-          trees.interior_tree(r) != t) {
+      const int p = trees.parent[static_cast<size_t>(t)][static_cast<size_t>(r)];
+      if (p >= 0 && trees.interior_tree(p) != t) {
         return false;
       }
     }
@@ -134,16 +147,10 @@ bool InteriorDisjoint(const StripedTrees& trees) {
 }
 
 bool RespectsFanout(const StripedTrees& trees) {
-  const int n = trees.receiver_count();
-  for (int t = 0; t < trees.stripes; ++t) {
-    if (static_cast<int>(trees.root_children[static_cast<size_t>(t)].size()) > trees.fanout) {
+  // AddChild bounds receiver rows; only the source's lists can overflow.
+  for (const std::vector<int>& roots : trees.root_children) {
+    if (static_cast<int>(roots.size()) > trees.fanout) {
       return false;
-    }
-    for (int r = 0; r < n; ++r) {
-      if (static_cast<int>(trees.children[static_cast<size_t>(t)][static_cast<size_t>(r)].size()) >
-          trees.fanout) {
-        return false;
-      }
     }
   }
   return true;
@@ -187,7 +194,7 @@ DelayStats ComputeDelayStats(const OverlayTopology& topology, const StripedTrees
       sum += static_cast<double>(d);
       stats.max_us = std::max(stats.max_us, d);
       ++samples;
-      for (int c : trees.children[static_cast<size_t>(t)][static_cast<size_t>(at)]) {
+      for (int c : trees.children(t, at)) {
         delay[static_cast<size_t>(c)] = d + topology.links[static_cast<size_t>(c)].latency;
         frontier.push_back(c);
       }

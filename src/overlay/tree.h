@@ -9,7 +9,8 @@
 //    k-1.  A receiver failure therefore cuts at most one stripe; the other
 //    k-1 keep flowing while that one tree repairs.  This is Pandora's P6
 //    (operations on one copy never disturb the others) promoted from one
-//    switch to a city of them.
+//    switch to a city of them.  It also means each receiver needs only one
+//    child list, stored as a flat fanout-bounded row (StripedTrees).
 //
 //  * Near-optimal-delay interior ordering ("Deterministic Near-Optimal P2P
 //    Streaming"): both policies fill the same heap-shaped left-complete
@@ -25,6 +26,8 @@
 #define PANDORA_SRC_OVERLAY_TREE_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/overlay/topology.h"
@@ -46,10 +49,15 @@ struct StripedTrees {
   int fanout = 8;
   TreePolicy policy = TreePolicy::kBalancedFanout;
   // parent[t][r]: r's parent in tree t (receiver id, kOverlaySource, or
-  // kOverlayDetached).  children[t][r] mirrors it; root_children[t] is the
-  // source's child list in tree t.
+  // kOverlayDetached).
   std::vector<std::vector<int>> parent;
-  std::vector<std::vector<std::vector<int>>> children;
+  // The child lists mirror `parent`.  Receiver r relays only in its interior
+  // tree, so it owns ONE flat row there: child_slots[r * fanout ...], of
+  // which the first child_count[r] slots are its children in order.  The
+  // source's lists stay vectors, because repair may overload the source
+  // past the fanout (TreeRepair::overflow).
+  std::vector<int> child_slots;
+  std::vector<uint8_t> child_count;
   std::vector<std::vector<int>> root_children;
 
   int receiver_count() const {
@@ -60,6 +68,21 @@ struct StripedTrees {
   // Which tree receiver r may relay in.
   int interior_tree(int r) const { return r % stripes; }
   bool absent(int r) const { return parent[0][static_cast<size_t>(r)] == kOverlayDetached; }
+
+  // Receiver r's children in tree t: its row, empty unless t is r's
+  // interior tree.
+  std::span<const int> children(int t, int r) const {
+    if (t != interior_tree(r)) {
+      return {};
+    }
+    return {child_slots.data() + static_cast<size_t>(r) * static_cast<size_t>(fanout),
+            child_count[static_cast<size_t>(r)]};
+  }
+  // Appends c to p's child list in tree t (p may be kOverlaySource).  A
+  // receiver parent must be in interior group t with a free slot (checked).
+  void AddChild(int t, int p, int c);
+  // Removes c from p's child list in tree t, keeping the others' order.
+  void RemoveChild(int t, int p, int c);
 };
 
 class TreeBuilder {
@@ -74,7 +97,7 @@ class TreeBuilder {
 
 // Every present receiver's parent chain reaches the source in every tree.
 bool SpansAll(const StripedTrees& trees);
-// Any receiver with children in tree t is in interior group t.
+// Every receiver's parent in tree t is the source or in interior group t.
 bool InteriorDisjoint(const StripedTrees& trees);
 // No child list (including the source's) exceeds the fanout bound.
 bool RespectsFanout(const StripedTrees& trees);

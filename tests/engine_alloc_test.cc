@@ -13,7 +13,8 @@
 // with zero heap calls per delivered segment, and a 64x48 video stream
 // (capture, wire, display) may add at most one.
 //
-// The global operator new/delete replacement below mirrors bench_engine.cpp.
+// The global operator new/delete replacement is tests/counting_allocator.h,
+// shared with the benches.
 // gtest itself allocates freely; all assertions read the counter first and
 // only then run EXPECT machinery, so the measured window stays clean.
 #include <gtest/gtest.h>
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -30,6 +30,7 @@
 #include "src/runtime/channel.h"
 #include "src/runtime/random.h"
 #include "src/runtime/scheduler.h"
+#include "tests/counting_allocator.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define PANDORA_ALLOC_GATE_DISABLED 1
@@ -38,45 +39,6 @@
 #define PANDORA_ALLOC_GATE_DISABLED 1
 #endif
 #endif
-
-namespace {
-uint64_t g_alloc_count = 0;
-
-void* CountedAlloc(std::size_t n) {
-  ++g_alloc_count;
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t n, std::size_t align) {
-  ++g_alloc_count;
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n == 0 ? 1 : n) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace pandora {
 namespace {
@@ -99,9 +61,9 @@ class EngineAllocTest : public ::testing::Test {
 template <typename Drive>
 uint64_t MeasuredAllocs(Drive drive) {
   drive(kWarmupIters);
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = HeapAllocCount();
   drive(kMeasuredIters);
-  return g_alloc_count - before;
+  return HeapAllocCount() - before;
 }
 
 TEST_F(EngineAllocTest, TimerChurnIsAllocationFree) {
@@ -253,9 +215,9 @@ class DataPathAllocTest : public ::testing::Test {
   std::pair<uint64_t, uint64_t> Measure() {
     sim_.RunFor(Seconds(5));
     const uint64_t delivered_before = Delivered();
-    const uint64_t allocs_before = g_alloc_count;
+    const uint64_t allocs_before = HeapAllocCount();
     sim_.RunFor(Seconds(20));
-    const uint64_t allocs = g_alloc_count - allocs_before;
+    const uint64_t allocs = HeapAllocCount() - allocs_before;
     return {allocs, Delivered() - delivered_before};
   }
 

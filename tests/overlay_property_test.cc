@@ -23,6 +23,7 @@
 // topology counts.
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,12 +80,13 @@ std::string Describe(const DrawnWorld& world) {
 // Strict descendants of `root` in tree t.
 std::vector<int> SubtreeOf(const StripedTrees& trees, int t, int root) {
   std::vector<int> result;
-  std::vector<int> frontier = trees.children[static_cast<size_t>(t)][static_cast<size_t>(root)];
+  const std::span<const int> roots = trees.children(t, root);
+  std::vector<int> frontier(roots.begin(), roots.end());
   while (!frontier.empty()) {
     int at = frontier.back();
     frontier.pop_back();
     result.push_back(at);
-    const std::vector<int>& kids = trees.children[static_cast<size_t>(t)][static_cast<size_t>(at)];
+    const std::span<const int> kids = trees.children(t, at);
     frontier.insert(frontier.end(), kids.begin(), kids.end());
   }
   return result;
@@ -96,7 +98,7 @@ int PickInteriorRelay(const StripedTrees& trees, Rng& rng) {
   const std::vector<int>& roots = trees.root_children[static_cast<size_t>(t)];
   std::vector<int> relays;
   for (int r : roots) {
-    if (!trees.children[static_cast<size_t>(t)][static_cast<size_t>(r)].empty()) {
+    if (!trees.children(t, r).empty()) {
       relays.push_back(r);
     }
   }

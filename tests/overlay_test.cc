@@ -4,6 +4,7 @@
 // cycle on small overlays.  The transitive P5/P6 properties over random
 // topologies live in overlay_property_test.cc.
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,45 @@ TEST(OverlayTree, BuildInvariantsAcrossStripesAndPolicies) {
       EXPECT_TRUE(IsAcyclic(trees));
     }
   }
+}
+
+TEST(OverlayTree, ChildRowsAppendAndRemoveInOrder) {
+  const OverlayTopology topology = GenerateTopology(SmallParams(7, 300));
+  StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
+  // Receiver 0 relays only in tree 0; its row there is a full fanout (the
+  // heap fill saturates the first relays), and it is empty in tree 1.
+  const std::vector<int> before(trees.children(0, 0).begin(), trees.children(0, 0).end());
+  ASSERT_EQ(static_cast<int>(before.size()), trees.fanout);
+  EXPECT_TRUE(trees.children(1, 0).empty());
+  for (int c : before) {
+    EXPECT_EQ(trees.parent[0][static_cast<size_t>(c)], 0);
+  }
+  // Removing a middle child keeps the others in order and frees one slot.
+  trees.RemoveChild(0, 0, before[2]);
+  std::vector<int> expected = before;
+  expected.erase(expected.begin() + 2);
+  EXPECT_EQ(std::vector<int>(trees.children(0, 0).begin(), trees.children(0, 0).end()), expected);
+  trees.AddChild(0, 0, before[2]);
+  expected.push_back(before[2]);
+  EXPECT_EQ(std::vector<int>(trees.children(0, 0).begin(), trees.children(0, 0).end()), expected);
+  // The source may be overloaded past the fanout; only RespectsFanout says so.
+  const std::vector<int> roots = trees.root_children[0];
+  ASSERT_EQ(static_cast<int>(roots.size()), trees.fanout);
+  trees.AddChild(0, kOverlaySource, before[2]);
+  EXPECT_FALSE(RespectsFanout(trees));
+  trees.RemoveChild(0, kOverlaySource, before[2]);
+  EXPECT_EQ(trees.root_children[0], roots);
+  EXPECT_TRUE(RespectsFanout(trees));
+}
+
+TEST(OverlayTreeDeathTest, ChildRowCapacityIsChecked) {
+  const OverlayTopology topology = GenerateTopology(SmallParams(7, 300));
+  StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
+  ASSERT_EQ(static_cast<int>(trees.children(0, 0).size()), trees.fanout);
+  // A full receiver row has no slot for another child...
+  EXPECT_DEATH(trees.AddChild(0, 0, 299), "receiver child row has no free slot");
+  // ...and a receiver has no row at all outside its interior tree.
+  EXPECT_DEATH(trees.AddChild(1, 0, 299), "only a tree's interior group relays in it");
 }
 
 TEST(OverlayTree, NearOptimalDelayNeverWorseThanBalanced) {
@@ -137,7 +177,7 @@ TEST(OverlayMulticast, LeaveRepairsAndRejoinMeasuresJoinLatency) {
   OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 1);
   // The first root child of tree 0 relays the largest subtree.
   const int leaver = trees.root_children[0][0];
-  ASSERT_FALSE(trees.children[0][static_cast<size_t>(leaver)].empty());
+  ASSERT_FALSE(trees.children(0, leaver).empty());
 
   OverlayMulticast* mc = &multicast;
   multicast.Start(Millis(600));
