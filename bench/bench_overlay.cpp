@@ -29,8 +29,6 @@
 
 #include "bench/bench_common.h"
 #include "src/fault/plan.h"
-#include "src/overlay/churn.h"
-#include "src/overlay/multicast.h"
 #include "src/overlay/sharded.h"
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
@@ -63,13 +61,13 @@ RepairRunResult RunSingleRepair(int stripes, TreePolicy policy) {
   OverlayTopology topology = GenerateTopology(params);
   StripedTrees trees = TreeBuilder::Build(topology, stripes, policy);
 
-  Scheduler sched;
-  OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, kLossSeed);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, kLossSeed);
   const int leaver = trees.root_children[0][0];
   multicast.Start(/*emit_until=*/Seconds(2));
-  OverlayMulticast* mc = &multicast;
-  sched.AddTimer(Seconds(1), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
-  sched.RunUntilQuiescent();
+  ShardedOverlayMulticast* mc = &multicast;
+  set.PostGlobal(Seconds(1), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
+  set.RunUntilQuiescent();
 
   RepairRunResult result;
   result.emitted = multicast.emitted();
@@ -205,7 +203,8 @@ ShardedStormScore RunShardedStorm(int shards, int threads, bool traced) {
 int main(int argc, char** argv) {
   BenchParseArgs(argc, argv);
   // --shards=N / --threads=M pin the Part 4 spanning configuration (and skip
-  // the single-engine parts, which a sharded CI leg re-measures for nothing).
+  // the 10^4-receiver parts 1-3, which a sharded CI leg re-measures for
+  // nothing).
   int only_shards = 0;
   int only_threads = 0;
   for (int i = 1; i < argc; ++i) {
@@ -240,6 +239,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Part 1: audio loss during a single-tree repair, k = 1 vs. striped.
+  // Parts 1-3 run at 10^4 receivers on a one-shard set (one Scheduler).
   const RepairRunResult k1 = RunSingleRepair(1, TreePolicy::kBalancedFanout);
   const RepairRunResult k2 = RunSingleRepair(2, TreePolicy::kBalancedFanout);
   const RepairRunResult k3 = RunSingleRepair(3, TreePolicy::kBalancedFanout);
@@ -286,15 +286,15 @@ int main(int argc, char** argv) {
     storm.permanent_fraction = 0.05;
     FaultPlan plan = RandomChurnPlan(/*seed=*/7, storm);
 
-    Scheduler sched;
-    BenchEnableTrace(sched);
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, kLossSeed);
-    OverlayChurnDriver churn(&sched, &multicast, plan);
+    ShardSet set;
+    BenchEnableTrace(set.scheduler());
+    ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, kLossSeed);
+    ShardedOverlayChurnDriver churn(&set, &multicast, plan);
     multicast.Start(/*emit_until=*/Millis(3800));
     churn.Start();
-    sched.RunUntilQuiescent();
+    set.RunUntilQuiescent();
 
-    std::vector<Duration> joins = multicast.join_latencies();
+    std::vector<Duration> joins = multicast.JoinLatencies();
     std::sort(joins.begin(), joins.end());
     const Duration p50 = joins[joins.size() / 2];
     const Duration p99 = joins[(joins.size() * 99) / 100];
@@ -306,7 +306,7 @@ int main(int argc, char** argv) {
              "(gated: a regression here is a repair-path stall)");
     BenchRow("run hash", static_cast<double>(multicast.RunHash() % 1000000), "",
              "(low 6 digits; bit-exact replay is asserted by tests)");
-    BenchExportTrace(sched);
+    BenchExportTrace(set.scheduler());
   }
 
   // --- Part 4: the same storm at 10^5 receivers spanning 8 shards.  The

@@ -25,12 +25,6 @@ MutingControl::MutingControl(const MutingConfig& config)
       half_table_(config.half_factor),
       deep_table_(config.deep_factor) {}
 
-void MutingControl::Configure(const MutingConfig& config) {
-  config_ = config;
-  half_table_ = MutingTable(config.half_factor);
-  deep_table_ = MutingTable(config.deep_factor);
-}
-
 bool MutingControl::BlockIsLoud(const AudioBlock& block) const {
   for (uint8_t sample : block.samples) {
     int16_t linear = ULawDecode(sample);

@@ -67,9 +67,6 @@ class MutingControl {
  public:
   explicit MutingControl(const MutingConfig& config = MutingConfig());
 
-  // Reconfigure on the fly (kSetMuting command).
-  void Configure(const MutingConfig& config);
-
   // Examines one block headed for the loudspeaker at local time `now`.
   void ObserveSpeakerBlock(Time now, const AudioBlock& block);
 

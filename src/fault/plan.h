@@ -35,7 +35,7 @@ enum class FaultKind {
   kWireCorrupt,         // call's direct path flips bits in `value` of segments
   kChurn,               // receiver leaves at onset, rejoins after `duration`
                         // (0: gone for good) — consumed by the overlay's
-                        // churn driver (src/overlay/churn.h)
+                        // churn driver (src/overlay/sharded.h)
 };
 
 // Which kind of entity an event's `target` indexes.  Receivers are overlay

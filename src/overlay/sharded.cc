@@ -241,7 +241,7 @@ void ShardedOverlayMulticast::RepairNow(int r) {
   }
 }
 
-std::vector<Duration> ShardedOverlayMulticast::JoinLatencies() const {
+std::vector<ShardedOverlayMulticast::JoinRecord> ShardedOverlayMulticast::MergedJoinLog() const {
   std::vector<JoinRecord> merged;
   size_t total = 0;
   for (const auto& log : join_log_) {
@@ -254,6 +254,11 @@ std::vector<Duration> ShardedOverlayMulticast::JoinLatencies() const {
   std::sort(merged.begin(), merged.end(), [](const JoinRecord& a, const JoinRecord& b) {
     return a.at != b.at ? a.at < b.at : a.receiver < b.receiver;
   });
+  return merged;
+}
+
+std::vector<Duration> ShardedOverlayMulticast::JoinLatencies() const {
+  const std::vector<JoinRecord> merged = MergedJoinLog();
   std::vector<Duration> latencies;
   latencies.reserve(merged.size());
   for (const JoinRecord& record : merged) {
@@ -283,15 +288,7 @@ uint64_t ShardedOverlayMulticast::RunHash() const {
       hash = FnvMix(hash, static_cast<uint64_t>(delivered_on_tree(r, t)));
     }
   }
-  // The join log in its canonical (time, receiver) order.
-  std::vector<JoinRecord> merged;
-  for (const auto& log : join_log_) {
-    merged.insert(merged.end(), log.begin(), log.end());
-  }
-  std::sort(merged.begin(), merged.end(), [](const JoinRecord& a, const JoinRecord& b) {
-    return a.at != b.at ? a.at < b.at : a.receiver < b.receiver;
-  });
-  for (const JoinRecord& record : merged) {
+  for (const JoinRecord& record : MergedJoinLog()) {
     hash = FnvMix(hash, static_cast<uint64_t>(record.at));
     hash = FnvMix(hash, static_cast<uint64_t>(record.receiver));
     hash = FnvMix(hash, static_cast<uint64_t>(record.latency));

@@ -1,14 +1,22 @@
-// ShardedOverlayMulticast: the striped distribution data plane, spanning a
-// ShardSet.
+// ShardedOverlayMulticast: the striped distribution data plane.
 //
-// OverlayMulticast (multicast.h) runs a whole city on one Scheduler.  This
-// variant partitions the receiver population across the set's shards —
-// receiver r lives on shard r % shards — and keeps the exact same overlay
-// semantics:
+// City-scale means 10^3..10^5 receivers, far past what full PandoraBox /
+// AtmPort instances (each owning a wire pool) can populate.  The data plane
+// is therefore a lightweight timer layer directly on a ShardSet: the source
+// emits one audio segment per cadence tick onto tree seq % k, and every
+// delivery is a timer whose callback relays to the receiver's children in
+// that tree — recursive split-at-the-switch, exactly the paper's P5/P6
+// fan-out but composed to arbitrary depth.  A one-shard set (the ShardSet
+// default) runs the whole city on one Scheduler; more shards partition the
+// receiver population — receiver r lives on shard r % shards — with the
+// exact same semantics:
 //
 //  * A relay executes on the PARENT's shard (the paper's switch duplicates
-//    copies where the stream is): lane serialization and the queue-budget
-//    drop decision read and write only parent-owned state.
+//    copies where the stream is).  P5 holds at every hop by construction:
+//    the parent serializes copies on its uplink lane (the access uplink
+//    dimensioned 1/k per stripe, which is what striping buys), and when the
+//    lane's backlog exceeds the queue budget the copy is DROPPED, never
+//    blocking the siblings.  A choked subtree therefore starves alone.
 //  * A delivery executes on the CHILD's shard.  Same-shard hops arm a plain
 //    timer; cross-shard hops ride the ShardSet mailbox at depart + access
 //    latency, which satisfies the lookahead contract because every access
@@ -24,7 +32,7 @@
 // shards), each (tree, child, seq) copy hashes to its own uniform draw.
 // Every per-receiver outcome is therefore independent of the partition; the
 // aggregate RunHash folds state in receiver order plus a time-sorted join
-// log, so one seed yields one hash across thread counts.
+// log, so one seed yields one hash across thread and shard counts.
 //
 // At city scale the data plane is bound by memory, not instructions, so
 // everything Deliver and RelayTo touch for one receiver shares one 64-byte
@@ -43,7 +51,6 @@
 #include <vector>
 
 #include "src/fault/plan.h"
-#include "src/overlay/multicast.h"
 #include "src/overlay/repair.h"
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
@@ -52,11 +59,38 @@
 
 namespace pandora {
 
+struct MulticastParams {
+  Duration segment_interval = Millis(4);  // live audio cadence (segment/constants.h)
+  int64_t segment_bytes = 68;             // E16 wire image of a live audio segment
+  Duration repair_delay = Millis(10);     // leave detection + re-parent latency
+  // Per-lane backlog (in copies) before a copy is shed.  A relay bursts all
+  // of its children's copies at one instant, so the budget must exceed the
+  // fanout: a full burst is normal and drains before the next segment, while
+  // a lane that cannot drain between segments backs up past any budget.
+  int64_t queue_budget = 16;
+};
+
+struct OverlayReceiverStats {
+  int64_t delivered = 0;
+  int64_t dropped_queue = 0;   // parent lane over budget — P5 drop, not block
+  int64_t dropped_loss = 0;    // access-link loss
+  int64_t dropped_late = 0;    // duplicate / out-of-order after a re-parent
+  int64_t missed_absent = 0;   // copy arrived while churned out
+  Time last_delivery = 0;
+};
+
+struct OverlayRepairEvent {
+  Time at = 0;
+  int tree = 0;
+  int node = 0;        // orphan root or (re)joiner
+  int new_parent = 0;  // receiver id or kOverlaySource
+};
+
 class ShardedOverlayMulticast {
  public:
   // `trees` must outlive the multicast and is mutated only at stop-the-world
-  // instants (Leave/Join/repair).  With a one-shard set this degenerates to
-  // the single-engine data plane (every hop is same-shard).
+  // instants (Leave/Join/repair).  With a one-shard set every hop is
+  // same-shard and every Post/PostGlobal is a plain timer.
   ShardedOverlayMulticast(ShardSet* shards, const OverlayTopology* topology, StripedTrees* trees,
                           MulticastParams params, uint64_t seed);
 
@@ -67,7 +101,11 @@ class ShardedOverlayMulticast {
 
   // Churn entry points.  Must run at a stop-the-world instant: from the
   // coordinator between Run* calls, or inside a PostGlobal callback (the
-  // ShardedOverlayChurnDriver).  They mutate the shared trees.
+  // ShardedOverlayChurnDriver).  They mutate the shared trees.  Leave
+  // detaches immediately and schedules the subtree repair after
+  // repair_delay; Join attaches as a leaf and starts the join-to-first-
+  // segment clock.  Ops against a receiver already in that state count as
+  // skipped, like FaultDriver faults against closed circuits.
   void Leave(int r);
   void Join(int r);
 
@@ -168,6 +206,8 @@ class ShardedOverlayMulticast {
   // Charges a parent-side drop to the child, on the child's shard.
   void CountDrop(int child, int kind);
   void RepairNow(int r);
+  // Every shard's join log, merged and sorted by (at, receiver).
+  std::vector<JoinRecord> MergedJoinLog() const;
   // Stateless per-copy loss draw — a pure function of (seed, tree, child,
   // seq), independent of event order and shard layout.
   bool LossDraw(int tree, int child, int64_t seq, double loss_rate) const;
@@ -203,14 +243,19 @@ class ShardedOverlayMulticast {
   int64_t churn_skipped_ = 0;
 };
 
-// Applies FaultPlan churn to a ShardedOverlayMulticast.  Every leave/rejoin
-// is armed as a PostGlobal stop-the-world event at Start, in plan order, so
-// coincident events replay exactly as listed — the spanning twin of
-// OverlayChurnDriver.
+// Applies FaultPlan churn to a ShardedOverlayMulticast.  The fault
+// subsystem owns the storm's SHAPE (seeded draw, text round-trip, replay via
+// PANDORA_FAULT_PLAN); this driver owns its EFFECT.  A kChurn event
+// `@t churn recv=r for=d` becomes Leave(r) at t and — unless d is 0, the
+// gone-for-good case — Join(r) at t+d.
 class ShardedOverlayChurnDriver {
  public:
   ShardedOverlayChurnDriver(ShardSet* shards, ShardedOverlayMulticast* multicast, FaultPlan plan);
 
+  // Arms every leave/rejoin as a PostGlobal stop-the-world event, in plan
+  // order, so coincident events replay exactly as listed.  Non-churn events
+  // in a mixed plan are counted ignored — they belong to a Simulation's
+  // FaultDriver, which in turn skips ours.
   void Start();
 
   int64_t departures() const { return departures_; }

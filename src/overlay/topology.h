@@ -70,7 +70,7 @@ OverlayTopology GenerateTopology(const TopologyParams& params);
 // golden determinism tests and the overlay run hash.
 uint64_t TopologyHash(const OverlayTopology& topology);
 
-// Shared FNV-1a helpers (also folded into OverlayMulticast::RunHash).
+// Shared FNV-1a helpers (also folded into ShardedOverlayMulticast::RunHash).
 inline constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 inline constexpr uint64_t kFnvPrime = 1099511628211ull;
 inline uint64_t FnvMix(uint64_t hash, uint64_t value) {

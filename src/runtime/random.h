@@ -28,14 +28,6 @@ class Rng {
     return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
   }
 
-  double Normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
-  double Exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-  }
-
   bool Bernoulli(double p) {
     if (p <= 0.0) {
       return false;

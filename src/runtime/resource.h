@@ -33,7 +33,7 @@ namespace pandora {
 class SerialResource {
  public:
   SerialResource(Scheduler* sched, std::string name)
-      : sched_(sched), name_(std::move(name)), stats_epoch_(sched->now()) {}
+      : sched_(sched), name_(std::move(name)), created_(sched->now()) {}
 
   SerialResource(const SerialResource&) = delete;
   SerialResource& operator=(const SerialResource&) = delete;
@@ -65,9 +65,9 @@ class SerialResource {
   // Backlog visible right now: how long a new arrival would wait.
   Duration current_queue_delay() const { return std::max<Duration>(0, next_free_ - sched_->now()); }
 
-  // Fraction of time busy since the last ResetStats().
+  // Fraction of time busy since construction.
   double Utilization() const {
-    Duration elapsed = sched_->now() - stats_epoch_;
+    Duration elapsed = sched_->now() - created_;
     if (elapsed <= 0) {
       return 0.0;
     }
@@ -80,18 +80,11 @@ class SerialResource {
   const std::string& name() const { return name_; }
   Scheduler* scheduler() const { return sched_; }
 
-  void ResetStats() {
-    stats_epoch_ = sched_->now();
-    busy_time_ = 0;
-    max_queue_delay_ = 0;
-    acquisitions_ = 0;
-  }
-
  private:
   Scheduler* sched_;
   std::string name_;
   Time next_free_ = 0;
-  Time stats_epoch_ = 0;
+  const Time created_;
   Duration busy_time_ = 0;
   Duration queue_delay_last_ = 0;
   Duration max_queue_delay_ = 0;

@@ -1,7 +1,5 @@
 #include "src/segment/segment.h"
 
-#include <sstream>
-
 namespace pandora {
 
 size_t Segment::EncodedSize() const {
@@ -67,23 +65,6 @@ void FillVideoSegment(Segment* segment, StreamId stream, uint32_t sequence, Time
                       const VideoHeader& vh, const uint8_t* data, size_t size) {
   segment->payload.assign(data, data + size);
   StampHeaders(segment, stream, sequence, source_time, SegmentType::kVideo, vh);
-}
-
-std::string DescribeSegment(const Segment& segment) {
-  std::ostringstream out;
-  out << "stream=" << segment.stream << " seq=" << segment.header.sequence
-      << " ts=" << segment.header.timestamp;
-  if (segment.is_audio()) {
-    out << " audio blocks=" << segment.AudioBlockCount() << " rate=" << segment.audio().sampling_rate;
-  } else if (segment.is_video()) {
-    const VideoHeader& vh = segment.video();
-    out << " video frame=" << vh.frame_number << " seg=" << vh.segment_number << "/"
-        << vh.segments_in_frame << " rect=" << vh.x_width << "x" << vh.line_count << "@("
-        << vh.x_offset << "," << vh.y_offset << ")";
-  } else {
-    out << " test bytes=" << segment.payload.size();
-  }
-  return out.str();
 }
 
 }  // namespace pandora

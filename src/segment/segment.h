@@ -149,9 +149,6 @@ void FillAudioSegment(Segment* segment, StreamId stream, uint32_t sequence, Time
 void FillVideoSegment(Segment* segment, StreamId stream, uint32_t sequence, Time source_time,
                       const VideoHeader& vh, const uint8_t* data, size_t size);
 
-// Human-readable one-line description (for reports/logs).
-std::string DescribeSegment(const Segment& segment);
-
 }  // namespace pandora
 
 #endif  // PANDORA_SRC_SEGMENT_SEGMENT_H_

@@ -89,7 +89,6 @@ class TraceRecorder {
   // Reserves event storage and starts recording.  Idempotent; a second call
   // with a larger capacity grows the reservation.
   void Enable(size_t max_events = kDefaultCapacity);
-  void Disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   size_t event_count() const { return events_.size(); }

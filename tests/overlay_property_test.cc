@@ -11,6 +11,8 @@
 //   - P6 transitively: repair after one relay's departure re-parents only
 //     that relay's stripe; sibling trees' structures are untouched and
 //     their stripes flow loss-free through the repair.
+//     Both run on one shard and on four (relays, deliveries and drop
+//     notices crossing the ShardSet mailboxes).
 //   - Churn storms converge: after a seeded join/leave storm quiesces,
 //     every present receiver is rooted again and still receiving.
 //   - City scale: a 10^4-receiver, k=2 striped overlay under a 100+-event
@@ -30,11 +32,11 @@
 #include <gtest/gtest.h>
 
 #include "src/fault/plan.h"
-#include "src/overlay/churn.h"
-#include "src/overlay/multicast.h"
+#include "src/overlay/sharded.h"
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
 #include "src/runtime/random.h"
+#include "src/runtime/shard_set.h"
 
 namespace pandora {
 namespace {
@@ -151,32 +153,38 @@ TEST(OverlayProperty, ChokedRelayStarvesOnlyItsOwnSubtree) {
     // few copies crawl out, then the lane budget sheds the rest.
     topology.links[static_cast<size_t>(choked)].bits_per_second = 1'000;
     const std::vector<int> starved = SubtreeOf(trees, 0, choked);
-
-    Scheduler sched;
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, world.params.seed);
-    multicast.Start(Millis(400));
-    sched.RunUntilQuiescent();
-
     std::vector<bool> in_subtree(static_cast<size_t>(topology.receiver_count()), false);
     for (int r : starved) {
       in_subtree[static_cast<size_t>(r)] = true;
     }
-    int64_t starved_drops = 0;
-    for (int r = 0; r < topology.receiver_count(); ++r) {
-      if (in_subtree[static_cast<size_t>(r)]) {
-        starved_drops += multicast.stats(r).dropped_queue;
-        continue;
+
+    // The claim holds on one engine and with the population partitioned.
+    for (const int shards : {1, 4}) {
+      const std::string what = Describe(world) + " shards=" + std::to_string(shards) +
+                               " choked=" + std::to_string(choked);
+      ShardSetOptions shard_options;
+      shard_options.shards = shards;
+      ShardSet set(shard_options);
+      ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{},
+                                        world.params.seed);
+      multicast.Start(Millis(400));
+      set.RunUntilQuiescent();
+
+      int64_t starved_drops = 0;
+      for (int r = 0; r < topology.receiver_count(); ++r) {
+        if (in_subtree[static_cast<size_t>(r)]) {
+          starved_drops += multicast.stats(r).dropped_queue;
+          continue;
+        }
+        if (r == choked) {
+          continue;  // the choked relay itself still RECEIVES fine
+        }
+        // P5, transitively: everyone outside the choked subtree is whole.
+        EXPECT_EQ(multicast.stats(r).delivered, multicast.emitted()) << what << " r=" << r;
+        EXPECT_EQ(multicast.stats(r).dropped_queue, 0) << what << " r=" << r;
       }
-      if (r == choked) {
-        continue;  // the choked relay itself still RECEIVES fine
-      }
-      // P5, transitively: everyone outside the choked subtree is whole.
-      EXPECT_EQ(multicast.stats(r).delivered, multicast.emitted())
-          << Describe(world) << " r=" << r << " choked=" << choked;
-      EXPECT_EQ(multicast.stats(r).dropped_queue, 0) << Describe(world) << " r=" << r;
+      EXPECT_GT(starved_drops, 0) << what << " subtree=" << starved.size();
     }
-    EXPECT_GT(starved_drops, 0) << Describe(world) << " choked=" << choked
-                                << " subtree=" << starved.size();
   }
 }
 
@@ -188,50 +196,58 @@ TEST(OverlayProperty, RepairOfOneTreeNeverDisturbsTheOthers) {
     world.stripes = std::max(2, world.stripes);
     world.params.fanout = std::max(world.params.fanout, 2 * world.stripes + 2);
     const OverlayTopology topology = GenerateTopology(world.params);
-    StripedTrees trees = TreeBuilder::Build(topology, world.stripes, world.policy);
-    Rng pick(world.params.seed ^ 0xdecade);
-    const int leaver = PickInteriorRelay(trees, pick);
-    if (leaver < 0) {
-      continue;
-    }
-    const int home = trees.interior_tree(leaver);
-    ASSERT_EQ(home, 0);  // PickInteriorRelay draws from tree 0
-
-    const std::vector<std::vector<int>> parents_before = trees.parent;
-
-    Scheduler sched;
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, world.params.seed);
-    OverlayMulticast* mc = &multicast;
-    multicast.Start(Millis(400));
-    sched.AddTimer(Millis(150), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
-    sched.RunUntilQuiescent();
-
-    // P6, structural: in every OTHER tree no receiver but the leaver was
-    // re-parented — repair touched exactly one stripe.
-    for (int t = 0; t < trees.stripes; ++t) {
-      if (t == home) {
-        continue;
+    // The claim holds on one engine and with the population partitioned;
+    // each run repairs its own fresh trees.
+    for (const int shards : {1, 4}) {
+      const std::string what = Describe(world) + " shards=" + std::to_string(shards);
+      StripedTrees trees = TreeBuilder::Build(topology, world.stripes, world.policy);
+      Rng pick(world.params.seed ^ 0xdecade);
+      const int leaver = PickInteriorRelay(trees, pick);
+      if (leaver < 0) {
+        break;
       }
-      for (int r = 0; r < topology.receiver_count(); ++r) {
-        if (r == leaver) {
+      const int home = trees.interior_tree(leaver);
+      ASSERT_EQ(home, 0);  // PickInteriorRelay draws from tree 0
+
+      const std::vector<std::vector<int>> parents_before = trees.parent;
+
+      ShardSetOptions shard_options;
+      shard_options.shards = shards;
+      ShardSet set(shard_options);
+      ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{},
+                                        world.params.seed);
+      ShardedOverlayMulticast* mc = &multicast;
+      multicast.Start(Millis(400));
+      set.PostGlobal(Millis(150), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
+      set.RunUntilQuiescent();
+
+      // P6, structural: in every OTHER tree no receiver but the leaver was
+      // re-parented — repair touched exactly one stripe.
+      for (int t = 0; t < trees.stripes; ++t) {
+        if (t == home) {
           continue;
         }
-        EXPECT_EQ(trees.parent[static_cast<size_t>(t)][static_cast<size_t>(r)],
-                  parents_before[static_cast<size_t>(t)][static_cast<size_t>(r)])
-            << Describe(world) << " tree=" << t << " r=" << r << " leaver=" << leaver;
-      }
-      // P6, observable: the other stripes flowed loss-free through the
-      // departure and the repair.
-      for (int r = 0; r < topology.receiver_count(); ++r) {
-        if (r == leaver) {
-          continue;
+        for (int r = 0; r < topology.receiver_count(); ++r) {
+          if (r == leaver) {
+            continue;
+          }
+          EXPECT_EQ(trees.parent[static_cast<size_t>(t)][static_cast<size_t>(r)],
+                    parents_before[static_cast<size_t>(t)][static_cast<size_t>(r)])
+              << what << " tree=" << t << " r=" << r << " leaver=" << leaver;
         }
-        EXPECT_EQ(multicast.delivered_on_tree(r, t), multicast.emitted_on_tree(t))
-            << Describe(world) << " tree=" << t << " r=" << r;
+        // P6, observable: the other stripes flowed loss-free through the
+        // departure and the repair.
+        for (int r = 0; r < topology.receiver_count(); ++r) {
+          if (r == leaver) {
+            continue;
+          }
+          EXPECT_EQ(multicast.delivered_on_tree(r, t), multicast.emitted_on_tree(t))
+              << what << " tree=" << t << " r=" << r;
+        }
       }
+      EXPECT_GT(multicast.repairs(), 0) << what;
+      EXPECT_EQ(multicast.repair().overflow(), 0) << what;
     }
-    EXPECT_GT(multicast.repairs(), 0) << Describe(world);
-    EXPECT_EQ(multicast.repair().overflow(), 0) << Describe(world);
   }
 }
 
@@ -254,20 +270,21 @@ TEST(OverlayProperty, ChurnStormsConvergeAndKeepDelivering) {
     storm.permanent_fraction = 0.1;
     const FaultPlan plan = RandomChurnPlan(world.params.seed ^ 0xbeef, storm);
 
-    Scheduler sched;
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, world.params.seed);
-    OverlayChurnDriver churn(&sched, &multicast, plan);
+    ShardSet set;
+    ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{},
+                                      world.params.seed);
+    ShardedOverlayChurnDriver churn(&set, &multicast, plan);
     multicast.Start(Millis(900));
     churn.Start();
 
     // Let the storm and every scheduled repair play out, then snapshot and
     // verify the tail of the emission reaches every present receiver.
-    sched.RunUntil(Millis(700));
+    set.RunUntil(Millis(700));
     std::vector<int64_t> delivered_mid(static_cast<size_t>(world.params.receivers), 0);
     for (int r = 0; r < world.params.receivers; ++r) {
       delivered_mid[static_cast<size_t>(r)] = multicast.stats(r).delivered;
     }
-    sched.RunUntilQuiescent();
+    set.RunUntilQuiescent();
 
     const std::string what = Describe(world) + " plan=\"" + FormatFaultPlan(plan) + "\"";
     ExpectStructuralInvariants(trees, what);
@@ -311,12 +328,12 @@ TEST(OverlayProperty, CityScaleStripedStormReplaysBitExact) {
   auto run = [&](const FaultPlan& p) {
     OverlayTopology topology = GenerateTopology(params);
     StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
-    Scheduler sched;
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 404);
-    OverlayChurnDriver churn(&sched, &multicast, p);
+    ShardSet set;
+    ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 404);
+    ShardedOverlayChurnDriver churn(&set, &multicast, p);
     multicast.Start(Millis(1900));
     churn.Start();
-    sched.RunUntilQuiescent();
+    set.RunUntilQuiescent();
     ExpectStructuralInvariants(trees, "city-scale storm seed=" + std::to_string(storm_seed));
     EXPECT_GT(multicast.repairs(), 0);
     EXPECT_EQ(multicast.repair().overflow(), 0);

@@ -1,7 +1,7 @@
 // Unit coverage for src/overlay/: topology generator determinism (golden
 // hash), tree-builder invariants, the churn FaultPlan kind's text round
 // trip, and the multicast data plane's basic delivery / leave-repair-rejoin
-// cycle on small overlays.  The transitive P5/P6 properties over random
+// cycle on small one-shard overlays.  The transitive P5/P6 properties over random
 // topologies live in overlay_property_test.cc.
 #include <string>
 #include <vector>
@@ -9,11 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "src/fault/plan.h"
-#include "src/overlay/churn.h"
-#include "src/overlay/multicast.h"
 #include "src/overlay/repair.h"
+#include "src/overlay/sharded.h"
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
+#include "src/runtime/shard_set.h"
 
 namespace pandora {
 namespace {
@@ -152,13 +152,13 @@ TEST(OverlayChurnPlan, HandWrittenClauseParses) {
   EXPECT_EQ(plan.events[0].duration, Millis(400));
 }
 
-TEST(OverlayMulticast, LosslessOverlayDeliversEverySegmentToEveryone) {
+TEST(ShardedOverlayMulticast, LosslessOverlayDeliversEverySegmentToEveryone) {
   const OverlayTopology topology = GenerateTopology(SmallParams(11, 120));
   StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
-  Scheduler sched;
-  OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 1);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 1);
   multicast.Start(Millis(400));
-  sched.RunUntilQuiescent();
+  set.RunUntilQuiescent();
 
   ASSERT_GT(multicast.emitted(), 0);
   for (int r = 0; r < topology.receiver_count(); ++r) {
@@ -167,23 +167,23 @@ TEST(OverlayMulticast, LosslessOverlayDeliversEverySegmentToEveryone) {
     EXPECT_EQ(multicast.stats(r).dropped_loss, 0) << "r=" << r;
   }
   // Everyone present from the start gets exactly one join-latency sample.
-  EXPECT_EQ(multicast.join_latencies().size(), static_cast<size_t>(topology.receiver_count()));
+  EXPECT_EQ(multicast.JoinLatencies().size(), static_cast<size_t>(topology.receiver_count()));
 }
 
-TEST(OverlayMulticast, LeaveRepairsAndRejoinMeasuresJoinLatency) {
+TEST(ShardedOverlayMulticast, LeaveRepairsAndRejoinMeasuresJoinLatency) {
   const OverlayTopology topology = GenerateTopology(SmallParams(13, 150));
   StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
-  Scheduler sched;
-  OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 1);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 1);
   // The first root child of tree 0 relays the largest subtree.
   const int leaver = trees.root_children[0][0];
   ASSERT_FALSE(trees.children(0, leaver).empty());
 
-  OverlayMulticast* mc = &multicast;
+  ShardedOverlayMulticast* mc = &multicast;
   multicast.Start(Millis(600));
-  sched.AddTimer(Millis(200), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
-  sched.AddTimer(Millis(400), TimerCallback([mc, leaver] { mc->Join(leaver); }));
-  sched.RunUntilQuiescent();
+  set.PostGlobal(Millis(200), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
+  set.PostGlobal(Millis(400), TimerCallback([mc, leaver] { mc->Join(leaver); }));
+  set.RunUntilQuiescent();
 
   // The subtree was re-parented (repair log has the leave repairs plus the
   // rejoin) and the final structure is sound again.
@@ -194,7 +194,7 @@ TEST(OverlayMulticast, LeaveRepairsAndRejoinMeasuresJoinLatency) {
   EXPECT_TRUE(IsAcyclic(trees));
   EXPECT_EQ(multicast.repair().overflow(), 0);
   // One extra join sample beyond the initial population: the rejoin.
-  EXPECT_EQ(multicast.join_latencies().size(),
+  EXPECT_EQ(multicast.JoinLatencies().size(),
             static_cast<size_t>(topology.receiver_count()) + 1);
   // The leaver missed the segments emitted while it was away but is back to
   // receiving afterwards.
@@ -202,27 +202,30 @@ TEST(OverlayMulticast, LeaveRepairsAndRejoinMeasuresJoinLatency) {
   EXPECT_GT(multicast.stats(leaver).last_delivery, Millis(400));
 }
 
-TEST(OverlayChurnDriver, AppliesPlanAndSkipsDoubleDepartures) {
+TEST(ShardedOverlayChurnDriver, AppliesPlanAndSkipsDoubleDepartures) {
   const OverlayTopology topology = GenerateTopology(SmallParams(17, 100));
   StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
-  Scheduler sched;
-  OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 1);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 1);
 
   FaultPlan plan;
   std::string error;
   // Receiver 5 departs twice while away (second is a skip), rejoins once.
+  // The box crash belongs to a Simulation's FaultDriver: the churn driver
+  // counts it ignored and arms nothing for it.
   ASSERT_TRUE(ParseFaultPlan("seed=1; @100ms churn recv=5 for=300ms;"
-                             " @200ms churn recv=5 for=50ms; @150ms churn recv=9",
+                             " @200ms churn recv=5 for=50ms; @150ms churn recv=9;"
+                             " @120ms crash box=5 for=100ms",
                              &plan, &error))
       << error;
-  OverlayChurnDriver churn(&sched, &multicast, plan);
+  ShardedOverlayChurnDriver churn(&set, &multicast, plan);
   multicast.Start(Millis(600));
   churn.Start();
-  sched.RunUntilQuiescent();
+  set.RunUntilQuiescent();
 
   EXPECT_EQ(churn.departures(), 3);
   EXPECT_EQ(churn.rejoins(), 2);
-  EXPECT_EQ(churn.ignored(), 0);
+  EXPECT_EQ(churn.ignored(), 1);
   // One departure and one rejoin were no-ops (5 already absent; then its
   // first rejoin fires at 400ms, the second at 250ms finds it still absent
   // ... exactly one of the two rejoins lands, the other is skipped).
