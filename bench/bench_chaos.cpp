@@ -47,6 +47,27 @@ constexpr const char* kPinnedPlan =
     " @3150ms jitter-storm call=3 value=24000 for=450ms;"
     " @3700ms pool-pressure box=0 value=24 for=300ms";
 
+// The storm runs until the driver goes quiescent, but no longer than this.
+constexpr Time kStormWindow = Seconds(20);
+
+// Why this topology cannot replay `event`, or null when it can.  Box a
+// (box 0) holds the auxiliary destination's segments in its pool, which a
+// crash frees under the drain; boxes b and c must be back up for the
+// report, so their crashes must restart inside the storm window.
+const char* Unreplayable(const FaultEvent& event) {
+  if (event.kind != FaultKind::kBoxCrash) {
+    return nullptr;
+  }
+  if (event.target == 0) {
+    return "crashing box a would free segments the auxiliary destination still holds";
+  }
+  if ((event.target == 1 || event.target == 2) &&
+      (event.duration <= 0 || event.at + event.duration >= kStormWindow)) {
+    return "a crash of box b or c must restart inside the 20s storm window";
+  }
+  return nullptr;
+}
+
 // Depth every live clawback buffer must re-reach after the storm: the lower
 // target (2 blocks) plus slack for blocks legitimately in flight.
 constexpr uint32_t kReplateauBlocks = 4;
@@ -116,6 +137,16 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  for (const FaultEvent& event : plan.events) {
+    if (const char* why = Unreplayable(event)) {
+      FaultPlan clause;
+      clause.events.push_back(event);
+      const std::string text = FormatFaultPlan(clause);
+      std::fprintf(stderr, "PANDORA_FAULT_PLAN rejected: `%s`: %s\n",
+                   text.substr(text.find("; ") + 2).c_str(), why);
+      return 2;
+    }
+  }
 
   Simulation sim;
   PandoraBox::Options options;
@@ -177,7 +208,7 @@ int main(int argc, char** argv) {
     old_drops.Sample(a.server_switch().drops_for(video_old));
     new_drops.Sample(a.server_switch().drops_for(video_new));
   };
-  while (!driver.quiescent() && sim.now() < Seconds(20)) {
+  while (!driver.quiescent() && sim.now() < kStormWindow) {
     sim.RunFor(Millis(100));
     sample();
   }
@@ -244,7 +275,9 @@ int main(int argc, char** argv) {
   BenchRow("time to clawback re-plateau", replateau_ms, "ms",
            replateau_at < 0 ? "NEVER within 30s" : "(storm end -> all depths <= 4 blocks)");
 
-  BenchNote("replay any plan against this topology: PANDORA_FAULT_PLAN=\"<plan>\" bench_chaos");
+  BenchNote(
+      "replay a plan against this topology: PANDORA_FAULT_PLAN=\"<plan>\" bench_chaos"
+      " (box a never crashes; b and c restart inside 20s)");
   BenchExportTrace(sim.scheduler());
   const int rc = BenchFinish();
   // `aux` (and the frames pumping it) must not outlive each other across

@@ -53,8 +53,9 @@ Outcome RunPandora(Duration jitter_max) {
 }
 
 Outcome RunMedusa(Duration jitter_max) {
-  Scheduler sched;
-  AtmNetwork net(&sched, 1);
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
+  AtmNetwork net(&set, 1);
   NetMicrophone mic(&sched, &net, {.name = "mic", .stream = 1});
   NetSpeaker speaker(&sched, &net, {.name = "spk"});
   ShutdownGuard guard(&sched);

@@ -13,8 +13,9 @@
 int main() {
   using namespace pandora;
 
-  Scheduler sched;
-  AtmNetwork net(&sched, 7);
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
+  AtmNetwork net(&set, 7);
 
   // A slightly unruly studio LAN.
   HopQuality lan;

@@ -27,7 +27,7 @@ Process CodecInput::Run() {
   // double accumulator keeps sub-microsecond drift from rounding away.
   const double tick = ToSeconds(kAudioBlockDuration) * 1e6 / (1.0 + config_.clock_drift);
   double window_start = static_cast<double>(sched_->now());
-  while (running_) {
+  for (;;) {
     // The block becomes available when its last sample has been written to
     // the fifo: the end of the 2ms window.
     double window_end = window_start + tick;
@@ -40,7 +40,6 @@ Process CodecInput::Run() {
       Time sample_time = RoundTime(window_start + i * sample_tick);
       block.samples[static_cast<size_t>(i)] = ULawEncode(source_->SampleAt(sample_time));
     }
-    ++blocks_captured_;
     co_await out_->Send(block);
     window_start = window_end;
   }

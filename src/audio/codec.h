@@ -43,14 +43,11 @@ class CodecInput {
              Channel<AudioBlock>* out);
 
   void Start();
-  void Stop() { running_ = false; }
 
   // Fault hook: steps the local quartz (the tick length is recomputed every
   // block, so the new drift takes effect from the next capture).
   void SetClockDrift(double drift) { config_.clock_drift = drift; }
   double clock_drift() const { return config_.clock_drift; }
-
-  uint64_t blocks_captured() const { return blocks_captured_; }
 
  private:
   Process Run();
@@ -59,9 +56,7 @@ class CodecInput {
   CodecInputConfig config_;
   SampleSource* source_;
   Channel<AudioBlock>* out_;
-  bool running_ = true;
   bool started_ = false;
-  uint64_t blocks_captured_ = 0;
 };
 
 struct CodecOutputConfig {

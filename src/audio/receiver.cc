@@ -63,7 +63,6 @@ Process AudioReceiver::Run() {
     for (size_t b = 0; b < whole; ++b) {
       ClawbackPushResult result = bank_->Push(segment.stream, AudioBlockAt(segment, b));
       if (result == ClawbackPushResult::kStored) {
-        ++blocks_delivered_;
       } else {
         ++blocks_rejected_;
       }

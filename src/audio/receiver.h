@@ -35,7 +35,6 @@ class AudioReceiver {
   void Start(Priority priority = Priority::kHigh);
 
   uint64_t segments_received() const { return segments_received_; }
-  uint64_t blocks_delivered() const { return blocks_delivered_; }
   uint64_t blocks_rejected() const { return blocks_rejected_; }
 
   // Loss visible at this destination, per stream.
@@ -57,7 +56,6 @@ class AudioReceiver {
 
   std::map<StreamId, SequenceTracker> trackers_;
   uint64_t segments_received_ = 0;
-  uint64_t blocks_delivered_ = 0;
   uint64_t blocks_rejected_ = 0;
   bool started_ = false;
 };

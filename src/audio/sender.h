@@ -50,7 +50,6 @@ class AudioSender {
   uint64_t segments_sent() const { return segments_sent_; }
   uint64_t blocks_consumed() const { return blocks_consumed_; }
   int blocks_per_segment() const { return blocks_per_segment_; }
-  uint32_t next_sequence() const { return sequence_; }
 
  private:
   Process Run();

@@ -161,15 +161,12 @@ class PandoraBox {
   ClawbackBank& clawback_bank() { return boards().bank_; }
   MutingControl& muting() { return boards().muting_; }
   VideoDisplay* display() { return boards().display_.get(); }
-  FrameStore* framestore() { return boards().framestore_.get(); }
   VideoCapture* capture(size_t i) { return boards().captures_.at(i).get(); }
   NetworkOutput& network_output() { return boards().net_out_; }
   NetworkInput& network_input() { return boards().net_in_; }
   // Wire-path payload copies since (re)boot — encodes plus decodes.
   uint64_t deep_copies() const { return boards().deep_copies_; }
   Repository* repository() { return boards().repository_.get(); }
-  CpuModel& audio_cpu() { return boards().audio_cpu_; }
-  CpuModel& server_cpu() { return boards().server_cpu_; }
   DecouplingBuffer& audio_out_buffer() { return boards().to_audio_buf_; }
 
  private:

@@ -7,24 +7,16 @@
 
 namespace pandora {
 
-FaultDriver::FaultDriver(Simulation* sim, FaultPlan plan, FaultDriverOptions options)
-    : sim_(sim), plan_(std::move(plan)), options_(std::move(options)) {
+FaultDriver::FaultDriver(Simulation* sim, FaultPlan plan) : sim_(sim), plan_(std::move(plan)) {
   plan_.Normalize();
 }
 
 void FaultDriver::Start() {
   PANDORA_CHECK(!started_);
   started_ = true;
-  if (sim_->shard_set().shard_count() > 1) {
-    // Spanning world: every step runs stop-the-world on the coordinator
-    // (see the header).  Nothing is due yet, so this only arms the first
-    // global event — or declares an empty plan quiescent immediately.
-    ArmNextGlobal();
-    return;
-  }
-  // High priority: an onset scheduled for time T is applied before ordinary
-  // traffic processing at T, so the fault's first victim is deterministic.
-  sim_->scheduler().Spawn(Run(), options_.name, Priority::kHigh);
+  // Nothing is due yet, so this only arms the first step — or declares an
+  // empty plan quiescent immediately.
+  ArmNextGlobal();
 }
 
 void FaultDriver::ArmNextGlobal() {
@@ -46,9 +38,9 @@ void FaultDriver::ArmNextGlobal() {
 }
 
 void FaultDriver::StepGlobal() {
-  // Same intra-instant order as Run(): restores before onsets, so a plan
-  // may end one episode and begin another on the same microsecond and see
-  // the healthy state in between.
+  // Restores fire before onsets at the same instant, so a plan may end one
+  // episode and begin another on the same microsecond and see the healthy
+  // state in between.
   const Time now = sim_->now();
   while (!restores_.empty() && restores_.front().at <= now) {
     ApplyRestore(PopRestore());
@@ -95,36 +87,6 @@ void FaultDriver::TraceFault(const std::string& what, int target, int64_t value)
   // one trace track per fault kind without pre-interned sites.
   PANDORA_TRACE_INSTANT_DYN(sim_->scheduler().trace(), "fault." + what,
                             static_cast<int64_t>(target), value);
-}
-
-Process FaultDriver::Run() {
-  Scheduler& sched = sim_->scheduler();
-  size_t next_event = 0;
-  while (next_event < plan_.events.size() || !restores_.empty()) {
-    Time next = kNever;
-    if (next_event < plan_.events.size()) {
-      next = plan_.events[next_event].at;
-    }
-    if (!restores_.empty()) {
-      next = std::min(next, restores_.front().at);
-    }
-    if (next > sched.now()) {
-      co_await sched.WaitUntil(next);
-    }
-    // Restores fire before onsets at the same instant, so a plan may end
-    // one episode and begin another on the same microsecond and see the
-    // healthy state in between.
-    while (!restores_.empty() && restores_.front().at <= sched.now()) {
-      ApplyRestore(PopRestore());
-    }
-    while (next_event < plan_.events.size() && plan_.events[next_event].at <= sched.now()) {
-      Apply(plan_.events[next_event]);
-      ++next_event;
-    }
-  }
-  quiescent_ = true;
-  quiescent_at_ = sched.now();
-  TraceFault("quiescent", 0, static_cast<int64_t>(applied_));
 }
 
 void FaultDriver::Apply(const FaultEvent& event) {

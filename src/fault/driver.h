@@ -1,21 +1,20 @@
-// FaultDriver: applies a FaultPlan from inside the scheduler.
+// FaultDriver: applies a FaultPlan from the control plane of the simulated
+// timeline.
 //
-// The driver is one more cooperative process on the simulated timeline — it
-// waits (in simulated time) for each event's onset, applies it through the
+// Each step runs as a ShardSet::PostGlobal callback at the exact microsecond
+// the next onset or restore is due: a stop-the-world instant on the
+// coordinator in a shard-spanning world (every worker parked), a plain
+// shard-0 timer on one shard.  Either way the step may touch any shard —
+// a crash kills processes and closes circuits on whatever shards the
+// victim's calls touch.  A step applies everything due through the
 // sanctioned mutators (AtmNetwork's fault hooks, Simulation's
 // CrashBox/RestartBox, PandoraBox::SetAudioClockDrift, BufferPool's
 // pressure injection) and, for episodic faults, snapshots the prior state
-// and schedules its own restore.  It draws no randomness: given the same
-// plan against the same topology, every apply and restore lands on the same
-// microsecond, so chaos runs replay bit-identically.
-//
-// In a shard-spanning Simulation the driver cannot live as a process on any
-// one shard: a crash kills processes and closes circuits on whatever shards
-// the victim's calls touch.  There it runs each step as a
-// ShardSet::PostGlobal stop-the-world callback on the coordinator — every
-// worker parked at the event's exact microsecond — which keeps the same
-// apply/restore ordering and the same bit-exact replay guarantee,
-// independent of the worker-thread count.
+// and heaps its own restore.  The driver is no process, so no box crash can
+// kill it, and it draws no randomness: given the same plan against the
+// same topology, every apply and restore lands on the same microsecond,
+// independent of the worker-thread count, so chaos runs replay
+// bit-identically.
 //
 // Events whose target no longer makes sense when their onset arrives — the
 // call was hung up, its circuit is already closed, the box is already down
@@ -46,17 +45,11 @@
 
 namespace pandora {
 
-struct FaultDriverOptions {
-  // Deliberately NOT under any box's "<name>." prefix, so a box crash's
-  // process-group kill can never take the fault driver with it.
-  std::string name = "fault.driver";
-};
-
 class FaultDriver {
  public:
-  FaultDriver(Simulation* sim, FaultPlan plan, FaultDriverOptions options = {});
+  FaultDriver(Simulation* sim, FaultPlan plan);
 
-  // Spawns the driver process.  Call after Simulation::Start() and after
+  // Arms the first step.  Call after Simulation::Start() and after
   // the calls the plan targets have been plumbed (targets are call/box
   // indices into the Simulation's registries).
   void Start();
@@ -90,10 +83,8 @@ class FaultDriver {
     double base_value = 0;   // clock steps: drift before the first episode
   };
 
-  Process Run();
-  // Stop-the-world path (shard-spanning worlds): each step applies every
-  // restore and onset due at the coordinator's current instant, then arms
-  // the next PostGlobal for the next due time.
+  // Each step applies every restore and onset due at the current instant,
+  // then arms the next PostGlobal for the next due time.
   void ArmNextGlobal();
   void StepGlobal();
   void Apply(const FaultEvent& event);
@@ -107,11 +98,10 @@ class FaultDriver {
 
   Simulation* sim_;
   FaultPlan plan_;
-  FaultDriverOptions options_;
   std::vector<Restore> restores_;  // min-heap on (at, order)
   std::map<std::pair<FaultKind, int>, EpisodeState> episodes_;
   uint64_t next_restore_order_ = 0;
-  size_t next_event_ = 0;  // cursor into plan_.events (stop-the-world path)
+  size_t next_event_ = 0;  // cursor into plan_.events
   size_t applied_ = 0;
   size_t skipped_ = 0;
   size_t restored_ = 0;

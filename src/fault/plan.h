@@ -6,8 +6,8 @@
 // hand.  A FaultPlan makes the hostile environment itself a first-class,
 // replayable artifact: a seeded list of timed FaultEvents (circuit down,
 // bandwidth collapse, burst-loss episode, jitter storm, box crash and
-// restart, clock step, buffer-pool pressure) that a FaultDriver process
-// applies from inside the scheduler.  Every chaos run is exactly
+// restart, clock step, buffer-pool pressure) that a FaultDriver applies at
+// their simulated instants.  Every chaos run is exactly
 // reproducible from (plan, seed): the driver consumes no randomness at
 // apply time, and the plan itself round-trips through a text format so a
 // failing run's schedule can be attached to a bug report and replayed with

@@ -167,7 +167,6 @@ class NetCamera : public MedusaDevice {
   void AddViewer(Vci vci) { vcis_.push_back(vci); }
 
   VideoCapture& capture() { return capture_; }
-  FrameStore& framestore() { return framestore_; }
 
  private:
   Process UplinkProc();

@@ -53,24 +53,11 @@ Process AtmPort::TxProc() {
   }
 }
 
-AtmNetwork::AtmNetwork(Scheduler* sched, uint64_t seed) : sched_(sched), rng_(seed) {
-  total_delivered_.assign(1, 0);
-  total_lost_.assign(1, 0);
-  total_corrupted_.assign(1, 0);
-  bytes_on_wire_.assign(1, 0);
-  trace_wire_bytes_.assign(1, 0);
-  transfers_.resize(1);
-}
-
-AtmNetwork::AtmNetwork(ShardSet* shards, uint64_t seed)
-    : sched_(&shards->scheduler()), rng_(seed), shards_(shards) {
+AtmNetwork::AtmNetwork(ShardSet* shards, uint64_t seed) : shards_(shards) {
   const size_t n = static_cast<size_t>(shards->shard_count());
-  // Shard 0 forwards with the legacy stream (`rng_`): a shards=1 network is
-  // bit-identical to the Scheduler constructor.  The other shards draw from
-  // independently-seeded streams — forking rng_ here would perturb shard 0.
-  extra_rngs_.reserve(n > 0 ? n - 1 : 0);
-  for (size_t i = 1; i < n; ++i) {
-    extra_rngs_.push_back(Rng(seed + 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(i)));
+  rngs_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    rngs_.push_back(Rng(seed + 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(i)));
   }
   total_delivered_.assign(n, 0);
   total_lost_.assign(n, 0);
@@ -84,16 +71,16 @@ AtmNetwork::AtmNetwork(ShardSet* shards, uint64_t seed)
 }
 
 AtmNetwork::~AtmNetwork() {
-  if (shards_ != nullptr && shards_->shard_count() > 1) {
+  if (shards_->shard_count() > 1) {
     shards_->RemoveBarrierTask(this);
   }
 }
 
 AtmPort* AtmNetwork::AddPort(const std::string& name, int64_t egress_bps, size_t wire_buffers,
                              ReportSink* report_sink, int shard) {
-  PANDORA_CHECK(shard == 0 || (shards_ != nullptr && shard < shards_->shard_count()),
+  PANDORA_CHECK(shard >= 0 && shard < shards_->shard_count(),
                 "port placed on a shard this network does not span");
-  Scheduler* sched = shards_ != nullptr ? &shards_->shard(shard) : sched_;
+  Scheduler* sched = &shards_->shard(shard);
   ports_.push_back(
       std::make_unique<AtmPort>(sched, this, name, egress_bps, wire_buffers, report_sink, shard));
   AtmPort* port = ports_.back().get();
@@ -102,12 +89,10 @@ AtmPort* AtmNetwork::AddPort(const std::string& name, int64_t egress_bps, size_t
 }
 
 NetHop* AtmNetwork::AddHop(const std::string& name, const HopQuality& quality, int shard) {
-  PANDORA_CHECK(shard == 0 || (shards_ != nullptr && shard < shards_->shard_count()),
+  PANDORA_CHECK(shard >= 0 && shard < shards_->shard_count(),
                 "hop placed on a shard this network does not span");
-  Scheduler* sched = shards_ != nullptr ? &shards_->shard(shard) : sched_;
-  // Shard 0 hops keep the legacy fork-from-rng_ stream; other shards fork
-  // from their own shard's stream so shard 0 stays bit-identical.
-  hops_.push_back(std::make_unique<NetHop>(sched, name, quality, RngFor(shard).Fork(), shard));
+  hops_.push_back(std::make_unique<NetHop>(&shards_->shard(shard), name, quality,
+                                           rngs_[static_cast<size_t>(shard)].Fork(), shard));
   return hops_.back().get();
 }
 
@@ -131,7 +116,6 @@ void AtmNetwork::OpenCircuit(AtmPort* src, Vci vci, AtmPort* dst, std::vector<Ne
     // mailbox, so the final stage's propagation is the lookahead floor —
     // anything smaller would ask the destination to rewrite a window it may
     // already have executed (ShardSet::Post re-checks per delivery).
-    PANDORA_CHECK(shards_ != nullptr, "cross-shard circuit on a network without a ShardSet");
     const Duration final_propagation =
         circuit->path.empty() ? circuit->direct.propagation : circuit->path.back()->quality.propagation;
     PANDORA_CHECK(final_propagation >= shards_->lookahead(),
@@ -151,7 +135,6 @@ void AtmNetwork::SetPortUp(AtmPort* port, bool up) {
     // Control-plane context (between Run* calls, or stop-the-world in a
     // spanning world), so touching the port's shard state here is safe.
     while (port->rx_.TryReceive().has_value()) {
-      ++port->rx_discarded_;
       ++total_lost_[static_cast<size_t>(port->shard_)];
     }
   }
@@ -170,7 +153,7 @@ bool AtmNetwork::SetCircuitQuality(AtmPort* src, Vci vci, const HopQuality& qual
     // Storms may squeeze bandwidth, add jitter or loss — but never shrink a
     // cross-shard link below the lookahead floor (the fault kinds all
     // preserve propagation; a direct caller must too).
-    PANDORA_CHECK(shards_ != nullptr && quality.propagation >= shards_->lookahead(),
+    PANDORA_CHECK(quality.propagation >= shards_->lookahead(),
                   "cross-shard circuit quality below the ShardSet lookahead floor");
   }
   it->second->direct = quality;
@@ -189,11 +172,6 @@ bool AtmNetwork::SetCircuitUp(AtmPort* src, Vci vci, bool up) {
   }
   it->second->up = up;
   return true;
-}
-
-void AtmNetwork::SetHopQuality(NetHop* hop, const HopQuality& quality) {
-  hop->quality = quality;
-  hop->gate.SetRate(quality.bits_per_second);
 }
 
 const CircuitStats* AtmNetwork::StatsFor(AtmPort* src, Vci vci) const {
@@ -230,11 +208,10 @@ bool AtmNetwork::CorruptInFlight(WireRef& wire, Rng& rng, Circuit* circuit, int 
 
 Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
   // Everything below runs on the SOURCE port's shard: its scheduler, its
-  // slice of the counters, its rng (shard 0's is the legacy stream).  The
-  // destination only becomes involved at the fabric exit.
+  // slice of the counters, its rng.  The destination only becomes involved
+  // at the fabric exit.
   Scheduler* sched = src->sched_;
   const int shard = src->shard_;
-  Rng& rng = RngFor(shard);
   const Time departed = sched->now();
   const size_t bytes = wire->bytes.size();
   // One cheap header peek for telemetry — which sequence number a loss or
@@ -272,7 +249,8 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
   // ForwardProcs start in send order (spawned FIFO by the port), so each
   // stage's bookkeeping executes in send order too.
   if (circuit->path.empty()) {
-    if (rng.Bernoulli(circuit->direct.loss_rate)) {
+    Rng& shard_rng = rngs_[static_cast<size_t>(shard)];
+    if (shard_rng.Bernoulli(circuit->direct.loss_rate)) {
       ++circuit->stats.lost;
       ++total_lost_[static_cast<size_t>(shard)];
       PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
@@ -283,8 +261,8 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
     // Bit corruption (line noise): the damaged copy still travels and is
     // delivered for the destination decoder to reject.  The rate check
     // short-circuits so healthy circuits draw nothing (determinism).
-    if (circuit->direct.corrupt_rate > 0 && rng.Bernoulli(circuit->direct.corrupt_rate)) {
-      if (!CorruptInFlight(wire, rng, circuit, shard)) {
+    if (circuit->direct.corrupt_rate > 0 && shard_rng.Bernoulli(circuit->direct.corrupt_rate)) {
+      if (!CorruptInFlight(wire, shard_rng, circuit, shard)) {
         ++circuit->stats.lost;
         ++total_lost_[static_cast<size_t>(shard)];
         PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
@@ -297,7 +275,7 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
                              static_cast<int64_t>(bytes));
     }
     Duration jitter = circuit->direct.jitter_max > 0
-                          ? static_cast<Duration>(rng.Uniform(
+                          ? static_cast<Duration>(shard_rng.Uniform(
                                 0.0, static_cast<double>(circuit->direct.jitter_max)))
                           : 0;
     Time exit_at =
@@ -387,7 +365,6 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
   // down before killing the box's processes, so nothing parks forever on an
   // unreceived rx channel).
   if (!circuit->dst->up_) {
-    ++circuit->dst->rx_discarded_;
     ++circuit->stats.lost;
     ++total_lost_[static_cast<size_t>(shard)];
     PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss, circuit->trace_name + ".loss",
@@ -467,7 +444,6 @@ void AtmNetwork::ArriveTransfer(WireTransfer* transfer) {
   transfer->consumed = true;  // the next barrier recycles the record
   if (!dst->up_) {
     // Went down at a stop-the-world instant while the bytes were in flight.
-    ++dst->rx_discarded_;
     ++total_lost_[static_cast<size_t>(dst->shard_)];
     return;
   }
@@ -476,7 +452,6 @@ void AtmNetwork::ArriveTransfer(WireTransfer* transfer) {
   // same back-pressure answer a down port gets.
   std::optional<WireRef> wire = dst->wire_pool_.TryAllocate();
   if (!wire.has_value()) {
-    ++dst->rx_discarded_;
     ++total_lost_[static_cast<size_t>(dst->shard_)];
     return;
   }

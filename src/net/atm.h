@@ -125,16 +125,13 @@ class AtmPort {
   BandwidthGate& egress() { return egress_; }
 
   const std::string& name() const { return name_; }
-  // ShardSet shard whose Scheduler runs this port's processes (0 for a
-  // legacy single-scheduler network).
+  // ShardSet shard whose Scheduler runs this port's processes.
   int shard() const { return shard_; }
   uint64_t sent() const { return sent_; }
   uint64_t unrouted() const { return unrouted_; }
   // Link state (AtmNetwork::SetPortUp).  A down port receives nothing:
   // in-flight segments aimed at it are discarded on arrival.
   bool up() const { return up_; }
-  // Segments discarded because this port was down when they arrived.
-  uint64_t rx_discarded() const { return rx_discarded_; }
 
  private:
   friend class AtmNetwork;
@@ -155,7 +152,6 @@ class AtmPort {
   bool up_ = true;
   uint64_t sent_ = 0;
   uint64_t unrouted_ = 0;
-  uint64_t rx_discarded_ = 0;
 };
 
 // One virtual circuit: (source port, VCI) -> destination port; the VCI is
@@ -172,11 +168,10 @@ struct CircuitStats {
 
 class AtmNetwork : public ShardBarrierTask {
  public:
-  AtmNetwork(Scheduler* sched, uint64_t seed = 1);
-  // Shard-spanning fabric: ports may be placed on any of `shards`' shards
-  // and cross-shard circuits ride the mailboxes.  With shards=1 this is
-  // bit-identical to the Scheduler constructor (same rng stream, same
-  // dispatch).  The network must be destroyed before the ShardSet.
+  // A fabric over `shards`: ports and hops may be placed on any of its
+  // shards and cross-shard circuits ride the mailboxes.  Shard i forwards
+  // with its own rng stream seeded from `seed` (shard 0's is `seed`
+  // itself).  The network must be destroyed before the ShardSet.
   AtmNetwork(ShardSet* shards, uint64_t seed = 1);
   ~AtmNetwork() override;
 
@@ -201,8 +196,8 @@ class AtmNetwork : public ShardBarrierTask {
 
   // Takes a port's link down or back up.  Going down discards anything
   // already parked for delivery on the port's rx channel and everything
-  // that arrives while down (counted in AtmPort::rx_discarded and the
-  // circuit's loss stats).  The box-side processes are the box's problem
+  // that arrives while down (counted in total_lost() and the circuit's
+  // loss stats).  The box-side processes are the box's problem
   // (PandoraBox::Crash kills them); the port object itself survives.
   void SetPortUp(AtmPort* port, bool up);
 
@@ -214,17 +209,13 @@ class AtmNetwork : public ShardBarrierTask {
   // the direct-path quality (burst loss, jitter storm, rate change, bit
   // corruption).  Returns false if no such circuit is open, or if the
   // circuit is bridged — a hop path never consults the direct quality, so
-  // accepting the write would let a storm silently not happen (impair
-  // bridged paths through SetHopQuality instead).
+  // accepting the write would let a storm silently not happen.
   bool SetCircuitQuality(AtmPort* src, Vci vci, const HopQuality& quality);
   // Snapshot of the current direct-path quality, for restore-after-episode.
   // Null for closed and for bridged circuits, matching SetCircuitQuality.
   const HopQuality* CircuitQuality(AtmPort* src, Vci vci) const;
   // Administrative circuit state: a down circuit loses every segment.
   bool SetCircuitUp(AtmPort* src, Vci vci, bool up);
-
-  // Replaces a shared hop's quality, keeping its bandwidth gate in sync.
-  void SetHopQuality(NetHop* hop, const HopQuality& quality);
 
   const CircuitStats* StatsFor(AtmPort* src, Vci vci) const;
   // Network totals are kept per shard (each slice written only by its own
@@ -314,9 +305,6 @@ class AtmNetwork : public ShardBarrierTask {
   void ArriveTransfer(WireTransfer* transfer);
   Process DeliverProc(AtmPort* dst, NetRx delivery);
 
-  // Per-shard forwarding rng.  Shard 0 is the legacy stream (bit-identity);
-  // the others are independently seeded.
-  Rng& RngFor(int shard) { return shard == 0 ? rng_ : extra_rngs_[static_cast<size_t>(shard - 1)]; }
   static uint64_t SumCounter(const std::vector<uint64_t>& v) {
     uint64_t n = 0;
     for (uint64_t x : v) {
@@ -325,10 +313,8 @@ class AtmNetwork : public ShardBarrierTask {
     return n;
   }
 
-  Scheduler* sched_;
-  Rng rng_;
-  ShardSet* shards_ = nullptr;  // null for a legacy single-scheduler network
-  std::vector<Rng> extra_rngs_;  // shards 1..N-1
+  ShardSet* shards_;
+  std::vector<Rng> rngs_;  // per-shard forwarding streams, index = shard
   std::vector<std::unique_ptr<AtmPort>> ports_;
   std::vector<std::unique_ptr<NetHop>> hops_;
   std::map<std::pair<AtmPort*, Vci>, std::unique_ptr<Circuit>> circuits_;

@@ -141,7 +141,6 @@ class ShardedOverlayMulticast {
   }
   int64_t repairs() const { return repairs_; }
   int64_t churn_skipped() const { return churn_skipped_; }
-  const std::vector<OverlayRepairEvent>& repair_log() const { return repair_log_; }
   const TreeRepair& repair() const { return repair_; }
 
   // Join-to-first-segment latencies, merged across shards and sorted by

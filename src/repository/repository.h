@@ -70,7 +70,6 @@ class Repository {
 
   uint64_t segments_recorded() const { return segments_recorded_; }
   uint64_t segments_discarded() const { return segments_discarded_; }
-  BandwidthGate& disk() { return disk_; }
 
  private:
   Process RecordProc();

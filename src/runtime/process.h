@@ -152,7 +152,6 @@ class ProcessHandle {
  public:
   ProcessHandle() = default;
 
-  bool valid() const { return ctx_ != nullptr; }
   bool done() const { return ctx_ != nullptr && (stale() || ctx_->done); }
   const std::string& name() const {
     static const std::string kRecycled = "<done>";
@@ -160,9 +159,9 @@ class ProcessHandle {
   }
   uint64_t resumptions() const { return stale() ? 0 : ctx_->resumptions; }
 
-  // Rethrows the process's unhandled exception, if any.  Errored processes
-  // are never recycled while the error is unclaimed, so this survives
-  // completion.
+  // Rethrows the process's unhandled exception, if it still holds one.  The
+  // scheduler re-throws every process error out of the Run* call that
+  // observed it and clears it there, so a handle read afterwards is clean.
   void CheckError() const {
     if (ctx_ != nullptr && !stale() && ctx_->error) {
       std::rethrow_exception(ctx_->error);

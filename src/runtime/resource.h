@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/runtime/check.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/task.h"
 #include "src/runtime/time.h"
@@ -46,7 +45,6 @@ class SerialResource {
     max_queue_delay_ = std::max(max_queue_delay_, queue_delay_last_);
     next_free_ = start + hold;
     busy_time_ += hold;
-    ++acquisitions_;
     // One complete span per reservation on the resource's own track (link
     // transmissions, CPU charges), plus queue-delay and utilization
     // counters.  The span starts at the reservation start, not now(), so a
@@ -76,7 +74,6 @@ class SerialResource {
 
   Duration busy_time() const { return busy_time_; }
   Duration max_queue_delay() const { return max_queue_delay_; }
-  uint64_t acquisitions() const { return acquisitions_; }
   const std::string& name() const { return name_; }
   Scheduler* scheduler() const { return sched_; }
 
@@ -88,7 +85,6 @@ class SerialResource {
   Duration busy_time_ = 0;
   Duration queue_delay_last_ = 0;
   Duration max_queue_delay_ = 0;
-  uint64_t acquisitions_ = 0;
   TraceSiteId trace_span_site_ = 0;
   TraceSiteId trace_queue_site_ = 0;
   TraceSiteId trace_util_site_ = 0;
@@ -113,15 +109,6 @@ class BandwidthGate : public SerialResource {
 
   int64_t bits_per_second() const { return bits_per_second_; }
 
-  // Fault hook: changes the link rate in place (bandwidth collapse and
-  // restore).  Reservations already made keep their old completion times —
-  // the bits on the wire were already clocked out; only future
-  // transmissions see the new rate.
-  void SetRate(int64_t bits_per_second) {
-    PANDORA_CHECK(bits_per_second > 0, "link rate must be positive");
-    bits_per_second_ = bits_per_second;
-  }
-
   Duration TransmissionTime(size_t bytes) const {
     // ceil(bytes * 8 / bps) in microseconds.
     int64_t bits = static_cast<int64_t>(bytes) * 8;
@@ -131,15 +118,11 @@ class BandwidthGate : public SerialResource {
   // Transmits `bytes`, queueing whole (non-interleaved) behind earlier
   // transmissions.  Completes when the last bit clears the gate.
   Task<void> Transmit(size_t bytes) {
-    bytes_sent_ += bytes;
     return Acquire(TransmissionTime(bytes));
   }
 
-  uint64_t bytes_sent() const { return bytes_sent_; }
-
  private:
   int64_t bits_per_second_;
-  uint64_t bytes_sent_ = 0;
 };
 
 }  // namespace pandora

@@ -313,15 +313,15 @@ bool Scheduler::DispatchOne() {
     ctx->top.destroy();
     ctx->top = nullptr;
     if (ctx->error) {
-      if (rethrow_process_errors_) {
-        std::exception_ptr error = std::exchange(ctx->error, nullptr);
-        if (ctx->pending_timers == 0) {
-          RecycleCtx(ctx);
-        }
-        std::rethrow_exception(error);
+      // An unhandled exception escaping a process is re-thrown out of the
+      // Run* call that observed it.
+      std::exception_ptr error = std::exchange(ctx->error, nullptr);
+      if (ctx->pending_timers == 0) {
+        RecycleCtx(ctx);
       }
-      // Error kept for ProcessHandle::CheckError; the slot stays in use.
-    } else if (ctx->pending_timers == 0) {
+      std::rethrow_exception(error);
+    }
+    if (ctx->pending_timers == 0) {
       // The common exit: the record returns to the slab immediately.
       RecycleCtx(ctx);
     }

@@ -154,10 +154,6 @@ class Scheduler {
   void RunUntil(Time limit);
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
-  // If true (default), an unhandled exception escaping a process is
-  // re-thrown out of the Run* call that observed it.
-  void set_rethrow_process_errors(bool v) { rethrow_process_errors_ = v; }
-
   // Destroys all live coroutine frames and pending timers.  Call before
   // destroying channels/pools that parked processes may reference; the
   // destructor calls it as a last resort.  Nothing may run afterwards.
@@ -238,9 +234,9 @@ class Scheduler {
   // along in an already-dispatched wakeup.
   void CountBatchedEvents(uint64_t n) { batched_events_ += n; }
   size_t live_process_count() const { return live_processes_; }
-  // Process records currently held (live, or completed-with-error awaiting
-  // CheckError, or killed-with-pending-timers).  Recycling keeps this near
-  // the live count instead of growing with every spawn.
+  // Process records currently held (live, or finished or killed with
+  // timers still pending).  Recycling keeps this near the live count
+  // instead of growing with every spawn.
   size_t tracked_process_count() const { return in_use_processes_; }
 
  private:
@@ -278,7 +274,6 @@ class Scheduler {
   size_t live_processes_ = 0;
   uint64_t context_switches_ = 0;
   uint64_t batched_events_ = 0;
-  bool rethrow_process_errors_ = true;
   bool shutting_down_ = false;
   std::vector<ShutdownParticipant*> shutdown_participants_;
   std::unique_ptr<TraceRecorder> trace_;

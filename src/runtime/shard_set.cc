@@ -98,7 +98,6 @@ void ShardSet::RunGlobalEvents(Time upto) {
     // May PostGlobal again (heap push mid-loop is fine) and may mutate any
     // shard: every helper is waiting and every clock has reached event.when.
     event.fire();
-    ++global_events_run_;
   }
 }
 
@@ -351,14 +350,6 @@ void ShardSet::Shutdown() {
   for (auto& shard : shards_) {
     shard->Shutdown();
   }
-}
-
-size_t ShardSet::undrained_messages() const {
-  size_t n = 0;
-  for (const Outbox& outbox : outboxes_) {
-    n += outbox.entries.size();
-  }
-  return n;
 }
 
 uint64_t ShardSet::barrier_parks() const {

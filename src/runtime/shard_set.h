@@ -101,7 +101,6 @@ class ShardSet {
   ShardSet& operator=(const ShardSet&) = delete;
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  int thread_count() const { return threads_; }
   Duration lookahead() const { return options_.lookahead; }
 
   Scheduler& shard(int i) { return *shards_[static_cast<size_t>(i)]; }
@@ -160,16 +159,11 @@ class ShardSet {
   uint64_t windows() const { return windows_; }
   // Cross-shard mailbox entries delivered to destination wheels.
   uint64_t cross_shard_messages() const { return cross_shard_messages_; }
-  // Stop-the-world callbacks executed (0 in legacy mode, where they ride the
-  // shard-0 wheel and count as ordinary timers).
-  uint64_t global_events_run() const { return global_events_run_; }
   // Per-shard window runs skipped because the shard provably had no event in
   // the window (idle fast path); each skip saves a RunUntil invocation.
   uint64_t idle_shard_skips() const { return idle_shard_skips_; }
   // Barriers where every outbox was empty (nothing to arm).
   uint64_t empty_mailbox_barriers() const { return empty_mailbox_barriers_; }
-  // Mailbox entries accepted but not yet drained to a destination wheel.
-  size_t undrained_messages() const;
   // Barrier waits (coordinator or helper) that outlasted their spin and
   // parked in std::atomic::wait.  Wall-time behaviour, not simulation
   // state: it varies run to run and is 0 without helper threads.
@@ -276,7 +270,6 @@ class ShardSet {
   std::vector<ShardBarrierTask*> barrier_tasks_;
   std::vector<std::exception_ptr> shard_errors_;
   uint64_t next_global_seq_ = 0;
-  uint64_t global_events_run_ = 0;
   uint64_t windows_ = 0;
   uint64_t cross_shard_messages_ = 0;
   uint64_t idle_shard_skips_ = 0;

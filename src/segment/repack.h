@@ -33,7 +33,6 @@ class AudioRepacker {
   std::optional<Segment> Flush();
 
   uint64_t blocks_consumed() const { return blocks_consumed_; }
-  uint32_t segments_emitted() const { return out_sequence_; }
 
  private:
   Segment Emit(size_t bytes);

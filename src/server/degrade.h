@@ -65,7 +65,6 @@ class AdaptiveDegrader {
     ++suppressed_count_;
     last_pressure_ = now;
     next_recovery_ = now + options_.recovery_period;
-    ++pressure_events_;
   }
 
   // Called on traffic; shrinks suppression after quiet periods.
@@ -106,14 +105,12 @@ class AdaptiveDegrader {
   }
 
   int suppressed_count() const { return suppressed_count_; }
-  uint64_t pressure_events() const { return pressure_events_; }
 
  private:
   Options options_;
   int suppressed_count_ = 0;
   Time last_pressure_ = 0;
   Time next_recovery_ = 0;
-  uint64_t pressure_events_ = 0;
   // Degradation-ordering cache: `cached_active_` is the membership the
   // cache was built from (as handed in), `cached_order_` the same streams
   // in DegradesBefore order.  Mutable: the cache is invisible to callers.

@@ -135,16 +135,12 @@ Task<void> Switch::HandleSegment(SegmentRef ref) {
         if (destination.sheds.incoming++ == 0) {
           destination.sheds.first_incoming = sched_->now();
         }
-        if (sheds_incoming_++ == 0) {
-          first_shed_incoming_ = sched_->now();
-        }
+        ++sheds_incoming_;
       } else {
         if (destination.sheds.outgoing++ == 0) {
           destination.sheds.first_outgoing = sched_->now();
         }
-        if (sheds_outgoing_++ == 0) {
-          first_shed_outgoing_ = sched_->now();
-        }
+        ++sheds_outgoing_;
       }
       // Degradation decision, split by stream kind; "age" is the route's
       // open order (P3 sheds the most recently opened first).

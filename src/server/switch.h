@@ -105,15 +105,9 @@ class Switch {
   }
   uint64_t sheds_incoming() const { return sheds_incoming_; }
   uint64_t sheds_outgoing() const { return sheds_outgoing_; }
-  Time first_shed_incoming() const { return first_shed_incoming_; }  // -1: never
-  Time first_shed_outgoing() const { return first_shed_outgoing_; }  // -1: never
   uint64_t drops_for(StreamId stream) const {
     const StreamRoute* route = table_.Find(stream);
     return route == nullptr ? 0 : route->drops;
-  }
-  int destination_count() const { return static_cast<int>(destinations_.size()); }
-  const AdaptiveDegrader& degrader_for(DestinationId id) const {
-    return destinations_[static_cast<size_t>(id)]->degrader;
   }
 
  private:
@@ -145,8 +139,6 @@ class Switch {
   uint64_t segments_dropped_ = 0;
   uint64_t sheds_incoming_ = 0;
   uint64_t sheds_outgoing_ = 0;
-  Time first_shed_incoming_ = -1;
-  Time first_shed_outgoing_ = -1;
   bool started_ = false;
 
   // Telemetry sites: per-segment handling span plus degradation-decision

@@ -10,8 +10,7 @@
 //
 // Design rules:
 //   - Zero overhead when disabled: every PANDORA_TRACE_* macro guards on
-//     `rec != nullptr && rec->enabled()` before evaluating anything else, and
-//     the whole family compiles to nothing under PANDORA_TRACE_DISABLED.
+//     `rec != nullptr && rec->enabled()` before evaluating anything else.
 //   - No allocation on the hot path when enabled: call sites cache an
 //     interned TraceSiteId in a caller-owned variable (the `idvar` macro
 //     argument); the name expression is evaluated only on the first hit.
@@ -233,48 +232,6 @@ class TraceScope {
 // Every macro is an expression-statement usable where a statement is
 // expected; none evaluates any argument when tracing is disabled.
 
-#if defined(PANDORA_TRACE_DISABLED)
-
-#define PANDORA_TRACE_ACTIVE_(rec) (false)
-
-#define PANDORA_TRACE_BEGIN(rec, idvar, name_expr) \
-  do {                                             \
-  } while (false)
-#define PANDORA_TRACE_END(rec, idvar) \
-  do {                                \
-  } while (false)
-#define PANDORA_TRACE_SPAN(rec, idvar, name_expr) \
-  do {                                            \
-  } while (false)
-#define PANDORA_TRACE_COMPLETE(rec, idvar, name_expr, start, dur) \
-  do {                                                            \
-  } while (false)
-#define PANDORA_TRACE_INSTANT(rec, idvar, name_expr) \
-  do {                                               \
-  } while (false)
-#define PANDORA_TRACE_INSTANT2(rec, idvar, name_expr, a1name, a1val, a2name, a2val) \
-  do {                                                                              \
-  } while (false)
-#define PANDORA_TRACE_INSTANT_DYN(rec, name_expr, a1val, a2val) \
-  do {                                                          \
-  } while (false)
-#define PANDORA_TRACE_COUNTER(rec, idvar, name_expr, value) \
-  do {                                                      \
-  } while (false)
-#define PANDORA_TRACE_RENDEZVOUS_BEGIN(rec, idvar, name_expr, id_lvalue) \
-  do {                                                                   \
-  } while (false)
-#define PANDORA_TRACE_RENDEZVOUS_END(rec, idvar, id_value) \
-  do {                                                     \
-  } while (false)
-#define PANDORA_TRACE_HISTOGRAM(rec, idvar, name_expr, unit, value) \
-  do {                                                              \
-  } while (false)
-
-#else  // !PANDORA_TRACE_DISABLED
-
-#define PANDORA_TRACE_ACTIVE_(rec) ((rec) != nullptr && (rec)->enabled())
-
 #define PANDORA_TRACE_BEGIN(rec, idvar, name_expr)          \
   do {                                                      \
     ::pandora::TraceRecorder* _pandora_tr = (rec);          \
@@ -402,8 +359,6 @@ class TraceScope {
       _pandora_tr->RecordHistogram((idvar), (value));                \
     }                                                                \
   } while (false)
-
-#endif  // PANDORA_TRACE_DISABLED
 
 #define PANDORA_TRACE_CONCAT_IMPL_(a, b) a##b
 #define PANDORA_TRACE_CONCAT_(a, b) PANDORA_TRACE_CONCAT_IMPL_(a, b)

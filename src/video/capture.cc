@@ -151,7 +151,6 @@ Task<void> VideoCapture::CaptureFrame(uint32_t frame_number) {
                      strip_.size());
     ref->compression_args = {static_cast<uint32_t>(options_.coding)};
     ref->header.length = static_cast<uint32_t>(ref->EncodedSize());
-    bytes_sent_ += ref->EncodedSize();
     ++segments_sent_;
     ++emitted;
     co_await segments_out_->Send(std::move(ref));

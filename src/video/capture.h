@@ -58,8 +58,6 @@ class VideoCapture {
 
   uint64_t frames_captured() const { return frames_captured_; }
   uint64_t segments_sent() const { return segments_sent_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t slices_pushed() const { return compressor_.pushes(); }
 
  private:
   Process Run();
@@ -95,7 +93,6 @@ class VideoCapture {
   uint32_t sequence_ = 0;
   uint64_t frames_captured_ = 0;
   uint64_t segments_sent_ = 0;
-  uint64_t bytes_sent_ = 0;
   bool started_ = false;
 };
 

@@ -91,7 +91,6 @@ class LastLineCache {
 
   void Drop(StreamId stream) { lines_.erase(stream); }
   uint64_t reloads() const { return reloads_; }
-  size_t cached_streams() const { return lines_.size(); }
 
  private:
   std::map<StreamId, std::vector<uint8_t>> lines_;

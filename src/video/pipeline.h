@@ -49,16 +49,11 @@ class PipelinedCompressor {
   std::optional<std::vector<uint8_t>> Push(std::vector<uint8_t> slice) {
     std::optional<std::vector<uint8_t>> emerged = std::move(held_);
     held_ = std::move(slice);
-    ++pushes_;
     return emerged;
   }
 
-  bool holding() const { return held_.has_value(); }
-  uint64_t pushes() const { return pushes_; }
-
  private:
   std::optional<std::vector<uint8_t>> held_;
-  uint64_t pushes_ = 0;
 };
 
 // The special link buffer.  Push delivers the descriptions that may now be

@@ -10,6 +10,7 @@
 #include "src/net/atm.h"
 #include "src/repository/repository.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/shard_set.h"
 #include "src/segment/wire.h"
 #include "src/video/capture.h"
 #include "src/video/framestore.h"
@@ -157,9 +158,10 @@ TEST(EdgeTest, PlaybackOfUnknownRecordingIsANoOp) {
 }
 
 TEST(EdgeTest, CircuitClosedMidFlightDiscardsCleanly) {
-  Scheduler sched;
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
   BufferPool pool(&sched, "pool", 32);
-  AtmNetwork net(&sched);
+  AtmNetwork net(&set);
   AtmPort* a = net.AddPort("a");
   AtmPort* b = net.AddPort("b");
   net.OpenCircuit(a, 42, b);

@@ -22,6 +22,22 @@ PandoraBox::Options BoxOptions(const std::string& name, bool with_video = false)
   return options;
 }
 
+// A world of `shards` shards with every box pinned to shard 0, so the
+// traffic is the same at any shard count while the driver's PostGlobal
+// steps take either mode: a plain shard-0 timer on one shard, a
+// stop-the-world instant on several.
+SimulationOptions ShardedWorld(int shards) {
+  SimulationOptions options;
+  options.shards = shards;
+  return options;
+}
+
+PandoraBox::Options PinnedBoxOptions(const std::string& name) {
+  PandoraBox::Options options = BoxOptions(name);
+  options.shard = 0;
+  return options;
+}
+
 // --- FaultPlan text format and random generation ----------------------------
 
 TEST(FaultPlanTest, KindNamesRoundTrip) {
@@ -127,75 +143,81 @@ TEST(FaultPlanTest, EnvVarOverride) {
 // --- FaultDriver semantics --------------------------------------------------
 
 TEST(FaultDriverTest, CircuitEpisodeRestoresPriorQuality) {
-  Simulation sim;
-  PandoraBox& a = sim.AddBox(BoxOptions("a"));
-  PandoraBox& b = sim.AddBox(BoxOptions("b"));
-  sim.Start();
-  StreamId at_b = sim.SendAudio(a, b);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Simulation sim(ShardedWorld(shards));
+    PandoraBox& a = sim.AddBox(PinnedBoxOptions("a"));
+    PandoraBox& b = sim.AddBox(PinnedBoxOptions("b"));
+    sim.Start();
+    StreamId at_b = sim.SendAudio(a, b);
 
-  FaultPlan plan;
-  ASSERT_TRUE(ParseFaultPlan("@1s burst-loss call=0 value=0.5 for=400ms;"
-                             "@2s jitter-storm call=0 value=15000 for=300ms",
-                             &plan));
-  FaultDriver driver(&sim, plan);
-  driver.Start();
-  sim.RunFor(Seconds(4));
+    FaultPlan plan;
+    ASSERT_TRUE(ParseFaultPlan("@1s burst-loss call=0 value=0.5 for=400ms;"
+                               "@2s jitter-storm call=0 value=15000 for=300ms",
+                               &plan));
+    FaultDriver driver(&sim, plan);
+    driver.Start();
+    sim.RunFor(Seconds(4));
 
-  EXPECT_TRUE(driver.quiescent());
-  EXPECT_EQ(driver.applied(), 2u);
-  EXPECT_EQ(driver.restored(), 2u);
-  EXPECT_EQ(driver.skipped(), 0u);
-  const HopQuality* quality = sim.network().CircuitQuality(a.port(), at_b);
-  ASSERT_NE(quality, nullptr);
-  EXPECT_EQ(quality->loss_rate, 0.0);
-  EXPECT_EQ(quality->jitter_max, 0);
+    EXPECT_TRUE(driver.quiescent());
+    EXPECT_EQ(driver.applied(), 2u);
+    EXPECT_EQ(driver.restored(), 2u);
+    EXPECT_EQ(driver.skipped(), 0u);
+    const HopQuality* quality = sim.network().CircuitQuality(a.port(), at_b);
+    ASSERT_NE(quality, nullptr);
+    EXPECT_EQ(quality->loss_rate, 0.0);
+    EXPECT_EQ(quality->jitter_max, 0);
 
-  // The burst episode lost roughly half of 400ms of 4ms segments (~50 of
-  // 100); outside the episodes the stream was clean.
-  const SequenceTracker* tracker = b.audio_receiver().TrackerFor(at_b);
-  ASSERT_NE(tracker, nullptr);
-  EXPECT_GT(tracker->missing_total(), 20u);
-  EXPECT_LT(tracker->missing_total(), 90u);
-  EXPECT_GT(tracker->received(), 800u);
+    // The burst episode lost roughly half of 400ms of 4ms segments (~50 of
+    // 100); outside the episodes the stream was clean.
+    const SequenceTracker* tracker = b.audio_receiver().TrackerFor(at_b);
+    ASSERT_NE(tracker, nullptr);
+    EXPECT_GT(tracker->missing_total(), 20u);
+    EXPECT_LT(tracker->missing_total(), 90u);
+    EXPECT_GT(tracker->received(), 800u);
+  }
 }
 
 TEST(FaultDriverTest, OverlappingEpisodesRestoreThePreStormState) {
-  Simulation sim;
-  PandoraBox& a = sim.AddBox(BoxOptions("a"));
-  PandoraBox& b = sim.AddBox(BoxOptions("b"));
-  sim.Start();
-  StreamId at_b = sim.SendAudio(a, b);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Simulation sim(ShardedWorld(shards));
+    PandoraBox& a = sim.AddBox(PinnedBoxOptions("a"));
+    PandoraBox& b = sim.AddBox(PinnedBoxOptions("b"));
+    sim.Start();
+    StreamId at_b = sim.SendAudio(a, b);
 
-  // Jitter episode B starts inside episode A and outlives A's restore; a
-  // burst-loss episode overlaps both.  A's restore must not truncate B, and
-  // B's restore must put back the PRE-storm state, not A's impairment
-  // (which is what a restore-time snapshot of "current" would capture).
-  FaultPlan plan;
-  ASSERT_TRUE(ParseFaultPlan("@1s jitter-storm call=0 value=20000 for=600ms;"
-                             "@1200ms jitter-storm call=0 value=30000 for=1s;"
-                             "@1300ms burst-loss call=0 value=0.4 for=400ms",
-                             &plan));
-  FaultDriver driver(&sim, plan);
-  driver.Start();
+    // Jitter episode B starts inside episode A and outlives A's restore; a
+    // burst-loss episode overlaps both.  A's restore must not truncate B, and
+    // B's restore must put back the PRE-storm state, not A's impairment
+    // (which is what a restore-time snapshot of "current" would capture).
+    FaultPlan plan;
+    ASSERT_TRUE(ParseFaultPlan("@1s jitter-storm call=0 value=20000 for=600ms;"
+                               "@1200ms jitter-storm call=0 value=30000 for=1s;"
+                               "@1300ms burst-loss call=0 value=0.4 for=400ms",
+                               &plan));
+    FaultDriver driver(&sim, plan);
+    driver.Start();
 
-  // 1.9s: A (1.6s) and the burst episode (1.7s) have nominally ended, B is
-  // still active — the circuit must still carry B's jitter, with the burst
-  // restore having put back only its own field.
-  sim.RunFor(Millis(1900));
-  const HopQuality* quality = sim.network().CircuitQuality(a.port(), at_b);
-  ASSERT_NE(quality, nullptr);
-  EXPECT_EQ(quality->jitter_max, 30000);
-  EXPECT_EQ(quality->loss_rate, 0.0);
+    // 1.9s: A (1.6s) and the burst episode (1.7s) have nominally ended, B is
+    // still active — the circuit must still carry B's jitter, with the burst
+    // restore having put back only its own field.
+    sim.RunFor(Millis(1900));
+    const HopQuality* quality = sim.network().CircuitQuality(a.port(), at_b);
+    ASSERT_NE(quality, nullptr);
+    EXPECT_EQ(quality->jitter_max, 30000);
+    EXPECT_EQ(quality->loss_rate, 0.0);
 
-  sim.RunFor(Millis(2100));
-  EXPECT_TRUE(driver.quiescent());
-  EXPECT_EQ(driver.applied(), 3u);
-  EXPECT_EQ(driver.restored(), 3u);
-  quality = sim.network().CircuitQuality(a.port(), at_b);
-  ASSERT_NE(quality, nullptr);
-  EXPECT_EQ(quality->jitter_max, 0);
-  EXPECT_EQ(quality->loss_rate, 0.0);
-  EXPECT_EQ(quality->bits_per_second, HopQuality{}.bits_per_second);
+    sim.RunFor(Millis(2100));
+    EXPECT_TRUE(driver.quiescent());
+    EXPECT_EQ(driver.applied(), 3u);
+    EXPECT_EQ(driver.restored(), 3u);
+    quality = sim.network().CircuitQuality(a.port(), at_b);
+    ASSERT_NE(quality, nullptr);
+    EXPECT_EQ(quality->jitter_max, 0);
+    EXPECT_EQ(quality->loss_rate, 0.0);
+    EXPECT_EQ(quality->bits_per_second, HopQuality{}.bits_per_second);
+  }
 }
 
 TEST(FaultDriverTest, OverlappingCircuitDownStaysDownUntilTheLastEpisodeEnds) {
@@ -303,27 +325,30 @@ TEST(FaultDriverTest, CircuitDownLosesOnlyDuringEpisode) {
 }
 
 TEST(FaultDriverTest, StaleTargetsAreSkippedNotFatal) {
-  Simulation sim;
-  PandoraBox& a = sim.AddBox(BoxOptions("a"));
-  PandoraBox& b = sim.AddBox(BoxOptions("b"));
-  sim.Start();
-  StreamId at_b = sim.SendAudio(a, b);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Simulation sim(ShardedWorld(shards));
+    PandoraBox& a = sim.AddBox(PinnedBoxOptions("a"));
+    PandoraBox& b = sim.AddBox(PinnedBoxOptions("b"));
+    sim.Start();
+    StreamId at_b = sim.SendAudio(a, b);
 
-  // Call 7 and box 9 do not exist; call 0 is hung up before its fault fires.
-  FaultPlan plan;
-  ASSERT_TRUE(ParseFaultPlan("@1s burst-loss call=7 value=0.5 for=100ms;"
-                             "@1s crash box=9 for=100ms;"
-                             "@2s circuit-down call=0 for=100ms",
-                             &plan));
-  FaultDriver driver(&sim, plan);
-  driver.Start();
-  sim.RunFor(Millis(1500));
-  sim.HangUpAudio(a, b, at_b);
-  sim.RunFor(Millis(2000));
+    // Call 7 and box 9 do not exist; call 0 is hung up before its fault fires.
+    FaultPlan plan;
+    ASSERT_TRUE(ParseFaultPlan("@1s burst-loss call=7 value=0.5 for=100ms;"
+                               "@1s crash box=9 for=100ms;"
+                               "@2s circuit-down call=0 for=100ms",
+                               &plan));
+    FaultDriver driver(&sim, plan);
+    driver.Start();
+    sim.RunFor(Millis(1500));
+    sim.HangUpAudio(a, b, at_b);
+    sim.RunFor(Millis(2000));
 
-  EXPECT_TRUE(driver.quiescent());
-  EXPECT_EQ(driver.applied(), 0u);
-  EXPECT_EQ(driver.skipped(), 3u);
+    EXPECT_TRUE(driver.quiescent());
+    EXPECT_EQ(driver.applied(), 0u);
+    EXPECT_EQ(driver.skipped(), 3u);
+  }
 }
 
 TEST(FaultDriverTest, PoolPressureEpisodeStarvesThenReleases) {

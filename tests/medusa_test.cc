@@ -9,9 +9,10 @@ namespace {
 // NOTE: each test declares its ShutdownGuard AFTER the devices, so frames
 // die before the device pools/channels they reference.
 struct MedusaRig {
-  MedusaRig() : net(&sched, 99) {}
+  MedusaRig() : net(&set, 99) {}
 
-  Scheduler sched;
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
   AtmNetwork net;
 };
 

@@ -8,6 +8,7 @@
 #include "src/buffer/pool.h"
 #include "src/net/atm.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/shard_set.h"
 #include "src/segment/segment.h"
 #include "src/segment/wire.h"
 
@@ -22,12 +23,13 @@ SegmentRef MakeAudioRef(BufferPool* pool, StreamId stream, uint32_t seq, size_t 
 }
 
 struct NetRig {
-  explicit NetRig(uint64_t seed = 1) : pool(&sched, "pool", 256), net(&sched, seed) {
+  explicit NetRig(uint64_t seed = 1) : pool(&sched, "pool", 256), net(&set, seed) {
     a = net.AddPort("a");
     b = net.AddPort("b");
   }
 
-  Scheduler sched;
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
   BufferPool pool;
   AtmNetwork net;
   AtmPort* a;
@@ -171,9 +173,10 @@ TEST(AtmTest, MultiHopPathAccumulatesLatency) {
 TEST(AtmTest, SharedHopContentionDelaysOtherCircuit) {
   // Two circuits share one slow bridge: heavy traffic on circuit 1 delays
   // circuit 2 (store-and-forward queueing).
-  Scheduler sched;
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
   BufferPool pool(&sched, "pool", 512);
-  AtmNetwork net(&sched);
+  AtmNetwork net(&set);
   AtmPort* a = net.AddPort("a", 100'000'000);
   AtmPort* b = net.AddPort("b", 100'000'000);
   AtmPort* c = net.AddPort("c", 100'000'000);
@@ -222,6 +225,19 @@ TEST(AtmTest, NonInterleavedInterfaceDelaysAudioBehindVideo) {
   EXPECT_EQ(got[1].stream, 42u);
   // The audio could not start serializing until the ~20ms video finished.
   EXPECT_GT(rig.a->egress().busy_time(), Millis(20));
+}
+
+TEST(AtmDeathTest, NegativeShardIndexFailsTheCheck) {
+  // A shard index below zero must trip the placement check, not index a
+  // shard vector out of bounds.
+  ShardSetOptions options;
+  options.shards = 2;
+  ShardSet set(options);
+  AtmNetwork net(&set);
+  EXPECT_DEATH(net.AddPort("neg", 20'000'000, 256, nullptr, -1),
+               "port placed on a shard this network does not span");
+  EXPECT_DEATH(net.AddHop("neg", HopQuality{}, -1),
+               "hop placed on a shard this network does not span");
 }
 
 }  // namespace

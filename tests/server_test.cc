@@ -9,6 +9,7 @@
 #include "src/control/report.h"
 #include "src/net/atm.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/shard_set.h"
 #include "src/segment/wire.h"
 #include "src/server/degrade.h"
 #include "src/server/netio.h"
@@ -323,10 +324,11 @@ TEST(SwitchTest, CommandsProcessedDuringDataFlow) {
 // --- NetworkOutput -------------------------------------------------------------
 
 TEST(NetworkOutputTest, AudioDrainedBeforeVideo) {
-  Scheduler sched;
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
   ReportCollector reports;
   BufferPool pool(&sched, "pool", 128);
-  AtmNetwork net(&sched);
+  AtmNetwork net(&set);
   AtmPort* src = net.AddPort("src", 20'000'000);
   AtmPort* dst = net.AddPort("dst");
   StreamTable table;
@@ -388,10 +390,11 @@ TEST(NetworkOutputTest, AudioDrainedBeforeVideo) {
 }
 
 TEST(NetworkOutputTest, SaturatedInterfaceDropsVideoNotAudio) {
-  Scheduler sched;
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
   ReportCollector reports;
   BufferPool pool(&sched, "pool", 256);
-  AtmNetwork net(&sched);
+  AtmNetwork net(&set);
   AtmPort* src = net.AddPort("src", 2'000'000);  // slow interface
   AtmPort* dst = net.AddPort("dst");
   StreamTable table;

@@ -20,6 +20,7 @@
 #include "src/fault/plan.h"
 #include "src/net/atm.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/shard_set.h"
 #include "src/segment/segment.h"
 #include "src/segment/wire.h"
 #include "src/server/netio.h"
@@ -74,9 +75,10 @@ TEST(WirePathTest, CorruptionOnOneCircuitNeverDamagesSiblingFanoutCopies) {
   // One encoded buffer fanned out to two circuits by Dup(); the circuit to
   // `noisy` corrupts every traversal.  The strike must damage a COPY — the
   // sibling handle's bytes stay pristine.
-  Scheduler sched;
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
   BufferPool pool(&sched, "pool", 32);
-  AtmNetwork net(&sched, /*seed=*/11);
+  AtmNetwork net(&set, /*seed=*/11);
   AtmPort* src = net.AddPort("src");
   AtmPort* noisy = net.AddPort("noisy");
   AtmPort* clean = net.AddPort("clean");
@@ -143,10 +145,11 @@ TEST(WirePathTest, CorruptionOnOneCircuitNeverDamagesSiblingFanoutCopies) {
 // --- Decode-failure path through a live NetworkInput -------------------------
 
 TEST(WirePathTest, NetworkInputCountsReportsAndRecoversPastMalformedWireImages) {
-  Scheduler sched;
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
   ReportCollector reports;
   BufferPool pool(&sched, "pool", 8);
-  AtmNetwork net(&sched);
+  AtmNetwork net(&set);
   AtmPort* dst = net.AddPort("dst");
   Channel<SegmentRef> to_switch(&sched, "out");
   uint64_t deep_copies = 0;

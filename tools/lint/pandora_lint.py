@@ -91,7 +91,7 @@ expensive to debug:
 
   fault-hooks
       Mid-run impairment of network state (AtmNetwork::SetPortUp /
-      RestartPort / SetCircuitQuality / SetCircuitUp / SetHopQuality) is
+      RestartPort / SetCircuitQuality / SetCircuitUp) is
       reserved to the fault layer.  Anywhere else these mutators bypass the
       FaultDriver's snapshot/restore bookkeeping, so the run stops being
       reproducible from (plan, seed) and nothing puts the parameters back.
@@ -185,7 +185,7 @@ TRACE_RECORD_RE = re.compile(
 # word match: the definitions live in src/net/ and the driver in src/fault/,
 # both exempt, so any other occurrence is a call site to flag.
 FAULT_HOOK_RE = re.compile(
-    r"\b(?:SetPortUp|RestartPort|SetCircuitQuality|SetCircuitUp|SetHopQuality)\s*\("
+    r"\b(?:SetPortUp|RestartPort|SetCircuitQuality|SetCircuitUp)\s*\("
 )
 FAULT_HOOK_ALLOWED = ("src/fault/", "src/net/")
 

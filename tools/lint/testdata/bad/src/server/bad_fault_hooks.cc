@@ -5,11 +5,10 @@
 
 namespace pandora {
 
-void MisbehavingController(AtmNetwork& net, AtmPort* port, NetHop* hop) {
+void MisbehavingController(AtmNetwork& net, AtmPort* port) {
   net.SetPortUp(port, false);                     // EXPECT-LINT: fault-hooks
   net.SetCircuitQuality(port, 7, HopQuality{});   // EXPECT-LINT: fault-hooks
   net.SetCircuitUp(port, 7, false);               // EXPECT-LINT: fault-hooks
-  net.SetHopQuality(hop, HopQuality{});           // EXPECT-LINT: fault-hooks
   net.RestartPort(port);                          // EXPECT-LINT: fault-hooks
 }
 

@@ -1,0 +1,10 @@
+#include "src/widget/widget.h"
+
+namespace fixture {
+
+int Drive(Sink* sink, Widget& widget) {
+  sink->Accept(kTable[0]);
+  return widget.Total();
+}
+
+}  // namespace fixture

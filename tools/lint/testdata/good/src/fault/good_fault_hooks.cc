@@ -4,11 +4,10 @@
 
 namespace pandora {
 
-void ApplyEpisode(AtmNetwork& net, AtmPort* port, NetHop* hop) {
+void ApplyEpisode(AtmNetwork& net, AtmPort* port) {
   net.SetPortUp(port, false);
   net.SetCircuitQuality(port, 7, HopQuality{});
   net.SetCircuitUp(port, 7, false);
-  net.SetHopQuality(hop, HopQuality{});
   net.RestartPort(port);
 }
 
