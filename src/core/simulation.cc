@@ -77,58 +77,29 @@ void Simulation::Start() {
 }
 
 StreamId Simulation::SendAudio(PandoraBox& src, PandoraBox& dst, const CallPath& path) {
-  // 1. The destination allocates the stream number and is configured first.
-  StreamId at_dst = AllocateStream();
-  dst.server_switch().OpenRoute(at_dst, dst.dest_audio_out(), /*incoming=*/true, /*audio=*/true);
-  // 2. The network circuit (the VCI carries the destination's stream id).
-  net_.OpenCircuit(src.port(), at_dst, dst.port(), path.hops, path.direct);
-  // 3. The source's switch routes the microphone stream to the network.
-  src.server_switch().OpenRoute(src.mic_stream(), src.dest_network(), /*incoming=*/false,
-                                /*audio=*/true, /*out_vci=*/at_dst);
-  // 4. Finally, command the source to begin producing data.
-  src.EnsureMicProducing();
-  CallRecord record;
-  record.kind = CallRecord::Kind::kAudio;
-  record.src = &src;
-  record.dst = &dst;
-  record.src_stream = src.mic_stream();
-  record.at_dst = at_dst;
-  record.path = path;
-  calls_.push_back(std::move(record));
-  return at_dst;
+  return SplitAudioTo(src, src.mic_stream(), dst, path);
 }
 
 StreamId Simulation::SplitAudioTo(PandoraBox& src, StreamId src_stream, PandoraBox& dst,
                                   const CallPath& path) {
-  StreamId at_dst = AllocateStream();
-  dst.server_switch().OpenRoute(at_dst, dst.dest_audio_out(), /*incoming=*/true, /*audio=*/true);
-  net_.OpenCircuit(src.port(), at_dst, dst.port(), path.hops, path.direct);
-  // The route table update adds the new VCI without disturbing the copies
-  // already flowing (principle 6).
-  src.server_switch().OpenRoute(src_stream, src.dest_network(), /*incoming=*/false,
-                                /*audio=*/true, /*out_vci=*/at_dst);
-  src.EnsureMicProducing();
-  CallRecord record;
-  record.kind = CallRecord::Kind::kAudio;
-  record.src = &src;
-  record.dst = &dst;
-  record.src_stream = src_stream;
-  record.at_dst = at_dst;
-  record.path = path;
-  calls_.push_back(std::move(record));
-  return at_dst;
+  // The destination allocates the stream number (the VCI).  A further copy
+  // of a stream already flowing only adds a route table entry, without
+  // disturbing the copies in flight (principle 6).
+  calls_.push_back(CallRecord{.kind = CallRecord::Kind::kAudio,
+                              .src = &src,
+                              .dst = &dst,
+                              .src_stream = src_stream,
+                              .at_dst = AllocateStream(),
+                              .path = path});
+  PlumbCall(calls_.back(), /*start_camera=*/false);
+  return calls_.back().at_dst;
 }
 
 StreamId Simulation::SendVideo(PandoraBox& src, PandoraBox& dst, const Rect& rect,
                                int rate_numer, int rate_denom, int segments_per_frame,
                                const CallPath& path) {
-  StreamId at_dst = AllocateStream();
-  dst.server_switch().OpenRoute(at_dst, dst.dest_display(), /*incoming=*/true, /*audio=*/false);
-  net_.OpenCircuit(src.port(), at_dst, dst.port(), path.hops, path.direct);
-  StreamId local = AllocateStream();
-  src.server_switch().OpenRoute(local, src.dest_network(), /*incoming=*/false, /*audio=*/false,
-                                /*out_vci=*/at_dst);
-  src.AddCameraStream(local, rect, rate_numer, rate_denom, segments_per_frame);
+  const StreamId at_dst = AllocateStream();
+  const StreamId local = AllocateStream();
   calls_.push_back(CallRecord{.kind = CallRecord::Kind::kVideo,
                               .src = &src,
                               .dst = &dst,
@@ -139,7 +110,29 @@ StreamId Simulation::SendVideo(PandoraBox& src, PandoraBox& dst, const Rect& rec
                               .rate_numer = rate_numer,
                               .rate_denom = rate_denom,
                               .segments_per_frame = segments_per_frame});
+  PlumbCall(calls_.back(), /*start_camera=*/true);
   return at_dst;
+}
+
+void Simulation::PlumbCall(const CallRecord& call, bool start_camera) {
+  PandoraBox& src = *call.src;
+  PandoraBox& dst = *call.dst;
+  const bool audio = call.kind == CallRecord::Kind::kAudio;
+  // 1. The destination, which allocated the stream number, is configured first.
+  dst.server_switch().OpenRoute(call.at_dst, audio ? dst.dest_audio_out() : dst.dest_display(),
+                                /*incoming=*/true, audio);
+  // 2. The network circuit (the VCI carries the destination's stream id).
+  net_.OpenCircuit(src.port(), call.at_dst, dst.port(), call.path.hops, call.path.direct);
+  // 3. The source's switch routes its stream to the network.
+  src.server_switch().OpenRoute(call.src_stream, src.dest_network(), /*incoming=*/false, audio,
+                                /*out_vci=*/call.at_dst);
+  // 4. Finally, command the source to begin producing data.
+  if (audio) {
+    src.EnsureMicProducing();
+  } else if (start_camera) {
+    src.AddCameraStream(call.src_stream, call.rect, call.rate_numer, call.rate_denom,
+                        call.segments_per_frame);
+  }
 }
 
 StreamId Simulation::ShowLocalVideo(PandoraBox& box, const Rect& rect, int rate_numer,
@@ -151,15 +144,27 @@ StreamId Simulation::ShowLocalVideo(PandoraBox& box, const Rect& rect, int rate_
 }
 
 void Simulation::HangUpAudio(PandoraBox& src, PandoraBox& dst, StreamId at_dst) {
-  // Reverse of the set-up order: source first, so no more traffic enters
-  // the circuit, then the circuit, then the destination's plumbing.
-  src.server_switch().CloseNetworkCopy(src.mic_stream(), at_dst, src.dest_network());
-  net_.CloseCircuit(src.port(), at_dst);
-  dst.server_switch().CloseRoute(at_dst, dst.dest_audio_out());
   for (CallRecord& call : calls_) {
     if (call.src == &src && call.dst == &dst && call.at_dst == at_dst) {
+      UnplumbCall(call, /*src_side=*/true, /*dst_side=*/true);
       call.active = false;
     }
+  }
+}
+
+void Simulation::UnplumbCall(const CallRecord& call, bool src_side, bool dst_side) {
+  // Reverse of the set-up order: source first, so no more traffic enters
+  // the circuit, then the circuit, then the destination's plumbing.  Any
+  // other copies of the same source stream keep flowing (principle 6).
+  if (src_side) {
+    call.src->server_switch().CloseNetworkCopy(call.src_stream, call.at_dst,
+                                               call.src->dest_network());
+  }
+  net_.CloseCircuit(call.src->port(), call.at_dst);
+  if (dst_side) {
+    PandoraBox& dst = *call.dst;
+    const bool audio = call.kind == CallRecord::Kind::kAudio;
+    dst.server_switch().CloseRoute(call.at_dst, audio ? dst.dest_audio_out() : dst.dest_display());
   }
 }
 
@@ -177,25 +182,13 @@ void Simulation::CrashBox(PandoraBox& box) {
       continue;
     }
     call.suspended = true;
-    if (call.dst == &box && !call.src->crashed()) {
-      // The receiver died: stop the sender's copy toward the dead VCI.  Any
-      // other copies of the same source stream keep flowing (principle 6).
-      call.src->server_switch().CloseNetworkCopy(call.src_stream, call.at_dst,
-                                                 call.src->dest_network());
-    }
-    if (call.src == &box) {
-      call.src_down = true;
-      if (!call.dst->crashed()) {
-        // The sender died: the receiver's stream table drops the dead
-        // peer's row; its other calls are untouched.
-        DestinationId dest = call.kind == CallRecord::Kind::kAudio ? call.dst->dest_audio_out()
-                                                                   : call.dst->dest_display();
-        call.dst->server_switch().CloseRoute(call.at_dst, dest);
-      }
-    }
-    // The circuit is keyed by the (surviving) source port; close it in
-    // either case so a restart reopens it cleanly.
-    net_.CloseCircuit(call.src->port(), call.at_dst);
+    call.src_down = call.src == &box;
+    // If the receiver died, the sender stops its copy toward the dead VCI;
+    // if the sender died, the receiver's stream table drops the dead peer's
+    // row.  The circuit is keyed by the (surviving) source port; it closes
+    // in either case so a restart reopens it cleanly.
+    UnplumbCall(call, /*src_side=*/call.dst == &box && !call.src->crashed(),
+                /*dst_side=*/call.src == &box && !call.dst->crashed());
   }
   box.Crash();
 }
@@ -209,31 +202,13 @@ void Simulation::RestartBox(PandoraBox& box) {
     if (call.src->crashed() || call.dst->crashed()) {
       continue;  // the peer is still down; its restart will re-plumb
     }
-    ReestablishCall(call);
+    // Same order and same ids as the original plumbing.  The sender's reboot
+    // took its capture processes with it (a surviving sender whose receiver
+    // crashed keeps the camera running).
+    PlumbCall(call, /*start_camera=*/call.src_down);
+    call.suspended = false;
+    call.src_down = false;
   }
-}
-
-void Simulation::ReestablishCall(CallRecord& call) {
-  PandoraBox& src = *call.src;
-  PandoraBox& dst = *call.dst;
-  const bool audio = call.kind == CallRecord::Kind::kAudio;
-  // Same order and same ids as the original plumbing: destination first,
-  // then circuit, then source, then (for audio) the producer command.
-  dst.server_switch().OpenRoute(call.at_dst, audio ? dst.dest_audio_out() : dst.dest_display(),
-                                /*incoming=*/true, audio);
-  net_.OpenCircuit(src.port(), call.at_dst, dst.port(), call.path.hops, call.path.direct);
-  src.server_switch().OpenRoute(call.src_stream, src.dest_network(), /*incoming=*/false, audio,
-                                /*out_vci=*/call.at_dst);
-  if (audio) {
-    src.EnsureMicProducing();
-  } else if (call.src_down) {
-    // The sender's reboot took its capture processes with it (a surviving
-    // sender whose receiver crashed keeps the camera running).
-    src.AddCameraStream(call.src_stream, call.rect, call.rate_numer, call.rate_denom,
-                        call.segments_per_frame);
-  }
-  call.suspended = false;
-  call.src_down = false;
 }
 
 void Simulation::RecordStream(PandoraBox& box, StreamId stream, bool audio) {

@@ -150,8 +150,12 @@ class Simulation {
   StreamId PlayVideoRecording(PandoraBox& box, StreamId stored);
 
  private:
-  // Re-plumbs one suspended leg whose endpoints are both alive again.
-  void ReestablishCall(CallRecord& call);
+  // The section 1.1 set-up sequence for a new or re-established leg:
+  // destination route, circuit, source route, then the producer (a video
+  // leg's camera only when `start_camera`).  Unplumb is its reverse, for
+  // either endpoint's half or both; the circuit always closes.
+  void PlumbCall(const CallRecord& call, bool start_camera);
+  void UnplumbCall(const CallRecord& call, bool src_side, bool dst_side);
 
   ShardSet shards_;
   std::vector<std::unique_ptr<ReportCollector>> reports_;  // one per shard

@@ -30,19 +30,13 @@ Process AtmPort::TxProc() {
     const size_t bytes = out.wire->bytes.size();
     co_await egress_.Transmit(bytes);
     ++sent_;
-    // This shard's slice of the wire-byte counter: single-writer, and the
-    // trace site id belongs to this shard's recorder.
-    net_->bytes_on_wire_[static_cast<size_t>(shard_)] += bytes;
-    PANDORA_TRACE_COUNTER(sched_->trace(), net_->trace_wire_bytes_[static_cast<size_t>(shard_)],
-                          "net.bytes_on_wire",
-                          static_cast<int64_t>(net_->bytes_on_wire_[static_cast<size_t>(shard_)]));
+    net_->ChargeWire(this, bytes);
 
-    auto it = net_->circuits_.find({this, out.vci});
-    if (it == net_->circuits_.end()) {
+    AtmNetwork::Circuit* circuit = net_->FindCircuit(this, out.vci);
+    if (circuit == nullptr) {
       ++unrouted_;
       continue;  // circuit closed mid-flight: traffic discarded (handle dropped)
     }
-    AtmNetwork::Circuit* circuit = it->second.get();
     ++circuit->stats.offered;
     // "Incoming streams from the network carry the stream number allocated
     // by the destination box in their VCIs."  The wire image omits the
@@ -111,17 +105,20 @@ void AtmNetwork::OpenCircuit(AtmPort* src, Vci vci, AtmPort* dst, std::vector<Ne
     PANDORA_CHECK(hop->shard == src->shard_,
                   "bridged hop on a different shard than the circuit's source port");
   }
-  if (dst->shard_ != src->shard_) {
-    // Cross-shard: the fabric exit posts into the destination shard's
-    // mailbox, so the final stage's propagation is the lookahead floor —
-    // anything smaller would ask the destination to rewrite a window it may
-    // already have executed (ShardSet::Post re-checks per delivery).
-    const Duration final_propagation =
-        circuit->path.empty() ? circuit->direct.propagation : circuit->path.back()->quality.propagation;
-    PANDORA_CHECK(final_propagation >= shards_->lookahead(),
-                  "cross-shard circuit latency below the ShardSet lookahead floor");
-  }
+  CheckExitLatency(src, *circuit);
   circuits_[{src, vci}] = std::move(circuit);
+}
+
+void AtmNetwork::CheckExitLatency(AtmPort* src, const Circuit& circuit) const {
+  // Cross-shard: the fabric exit posts into the destination shard's
+  // mailbox, so the last stage's propagation is the lookahead floor —
+  // anything smaller would ask the destination to rewrite a window it may
+  // already have executed (ShardSet::Post re-checks per delivery).
+  const Duration last_propagation = circuit.path.empty()
+                                        ? circuit.direct.propagation
+                                        : circuit.path.back()->quality.propagation;
+  PANDORA_CHECK(circuit.dst->shard_ == src->shard_ || last_propagation >= shards_->lookahead(),
+                "cross-shard circuit latency below the ShardSet lookahead floor");
 }
 
 void AtmNetwork::CloseCircuit(AtmPort* src, Vci vci) { circuits_.erase({src, vci}); }
@@ -145,41 +142,38 @@ void AtmNetwork::RestartPort(AtmPort* port) {
 }
 
 bool AtmNetwork::SetCircuitQuality(AtmPort* src, Vci vci, const HopQuality& quality) {
-  auto it = circuits_.find({src, vci});
-  if (it == circuits_.end() || !it->second->path.empty()) {
-    return false;  // closed, or bridged: ForwardProc never reads `direct` then
+  Circuit* circuit = FindCircuit(src, vci);
+  if (circuit == nullptr || !circuit->path.empty()) {
+    return false;  // closed, or bridged: its stages never read `direct`
   }
-  if (it->second->dst->shard_ != src->shard_) {
-    // Storms may squeeze bandwidth, add jitter or loss — but never shrink a
-    // cross-shard link below the lookahead floor (the fault kinds all
-    // preserve propagation; a direct caller must too).
-    PANDORA_CHECK(quality.propagation >= shards_->lookahead(),
-                  "cross-shard circuit quality below the ShardSet lookahead floor");
-  }
-  it->second->direct = quality;
+  // Storms may squeeze bandwidth, add jitter or loss — but never shrink a
+  // cross-shard link below the lookahead floor (the fault kinds all
+  // preserve propagation; a direct caller must too).
+  circuit->direct = quality;
+  CheckExitLatency(src, *circuit);
   return true;
 }
 
 const HopQuality* AtmNetwork::CircuitQuality(AtmPort* src, Vci vci) const {
-  auto it = circuits_.find({src, vci});
-  return it == circuits_.end() || !it->second->path.empty() ? nullptr : &it->second->direct;
+  const Circuit* circuit = FindCircuit(src, vci);
+  return circuit == nullptr || !circuit->path.empty() ? nullptr : &circuit->direct;
 }
 
 bool AtmNetwork::SetCircuitUp(AtmPort* src, Vci vci, bool up) {
-  auto it = circuits_.find({src, vci});
-  if (it == circuits_.end()) {
+  Circuit* circuit = FindCircuit(src, vci);
+  if (circuit == nullptr) {
     return false;
   }
-  it->second->up = up;
+  circuit->up = up;
   return true;
 }
 
 const CircuitStats* AtmNetwork::StatsFor(AtmPort* src, Vci vci) const {
-  auto it = circuits_.find({src, vci});
-  return it == circuits_.end() ? nullptr : &it->second->stats;
+  const Circuit* circuit = FindCircuit(src, vci);
+  return circuit == nullptr ? nullptr : &circuit->stats;
 }
 
-AtmNetwork::Circuit* AtmNetwork::FindCircuit(AtmPort* src, Vci vci) {
+AtmNetwork::Circuit* AtmNetwork::FindCircuit(AtmPort* src, Vci vci) const {
   auto it = circuits_.find({src, vci});
   return it == circuits_.end() ? nullptr : it->second.get();
 }
@@ -203,6 +197,44 @@ bool AtmNetwork::CorruptInFlight(WireRef& wire, Rng& rng, Circuit* circuit, int 
   wire = std::move(*scratch);
   ++circuit->stats.corrupted;
   ++total_corrupted_[static_cast<size_t>(shard)];
+  return true;
+}
+
+void AtmNetwork::ChargeWire(AtmPort* port, size_t bytes) {
+  // The port's shard's slice of the wire-byte counter: single-writer, and the
+  // trace site id belongs to that shard's recorder.
+  const size_t shard = static_cast<size_t>(port->shard_);
+  bytes_on_wire_[shard] += bytes;
+  PANDORA_TRACE_COUNTER(port->sched_->trace(), trace_wire_bytes_[shard], "net.bytes_on_wire",
+                        static_cast<int64_t>(bytes_on_wire_[shard]));
+}
+
+void AtmNetwork::CountLoss(AtmPort* src, Circuit* circuit, int64_t seq, size_t bytes) {
+  ++circuit->stats.lost;
+  ++total_lost_[static_cast<size_t>(src->shard_)];
+  PANDORA_TRACE_INSTANT2(src->sched_->trace(), circuit->trace_loss, circuit->trace_name + ".loss",
+                         "seq", seq, "bytes", static_cast<int64_t>(bytes));
+}
+
+bool AtmNetwork::CountExit(AtmPort* src, Circuit* circuit, Time at, Time departed, int64_t seq,
+                           size_t bytes) {
+  // A dead box receives nothing (PandoraBox::Crash takes the port down
+  // before killing the box's processes, so nothing parks forever on an
+  // unreceived rx channel).
+  if (!circuit->dst->up_) {
+    CountLoss(src, circuit, seq, bytes);
+    return false;
+  }
+  ++circuit->stats.delivered;
+  ++total_delivered_[static_cast<size_t>(src->shard_)];
+  circuit->stats.latency.Add(static_cast<double>(at - departed));
+  // Per-(stream, network-hop) transit latency, keyed by the destination VCI.
+  PANDORA_TRACE_HISTOGRAM(src->sched_->trace(), circuit->trace_hist,
+                          circuit->trace_name + ".latency", "us", at - departed);
+  if (circuit->last_rx_time >= 0) {
+    circuit->stats.inter_arrival.Add(static_cast<double>(at - circuit->last_rx_time));
+  }
+  circuit->last_rx_time = at;
   return true;
 }
 
@@ -235,58 +267,80 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
 
   // An administratively-down circuit loses everything offered to it.
   if (!circuit->up) {
-    ++circuit->stats.lost;
-    ++total_lost_[static_cast<size_t>(shard)];
-    PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss, circuit->trace_name + ".loss",
-                           "seq", seq, "bytes", static_cast<int64_t>(bytes));
+    CountLoss(src, circuit, seq, bytes);
     co_return;
   }
 
+  // One store-and-forward stage per hop.  A direct circuit is the one-stage
+  // case: its quality is the circuit's `direct`, its rng the shard's, and it
+  // has no gate (the source egress already serialized the segment).
+  //
   // FIFO per circuit: each stage's exit time is computed and CLAMPED
   // against the previous segment's exit BEFORE waiting, so segments that
   // draw a small jitter sample cannot overtake earlier ones — virtual
   // circuits are order-preserving, and jitter is queueing, which is FIFO.
   // ForwardProcs start in send order (spawned FIFO by the port), so each
   // stage's bookkeeping executes in send order too.
-  if (circuit->path.empty()) {
-    Rng& shard_rng = rngs_[static_cast<size_t>(shard)];
-    if (shard_rng.Bernoulli(circuit->direct.loss_rate)) {
-      ++circuit->stats.lost;
-      ++total_lost_[static_cast<size_t>(shard)];
-      PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
-                             circuit->trace_name + ".loss", "seq", seq, "bytes",
-                             static_cast<int64_t>(bytes));
+  const size_t stages = std::max<size_t>(1, circuit->path.size());
+  for (size_t i = 0; i < stages; ++i) {
+    NetHop* hop = circuit->path.empty() ? nullptr : circuit->path[i];
+    const HopQuality* quality = hop != nullptr ? &hop->quality : &circuit->direct;
+    Rng* rng = hop != nullptr ? &hop->rng : &rngs_[static_cast<size_t>(shard)];
+    if (rng->Bernoulli(quality->loss_rate) ||
+        (hop != nullptr && hop->gate.current_queue_delay() > quality->max_queue)) {
+      CountLoss(src, circuit, seq, bytes);
       co_return;
     }
     // Bit corruption (line noise): the damaged copy still travels and is
     // delivered for the destination decoder to reject.  The rate check
-    // short-circuits so healthy circuits draw nothing (determinism).
-    if (circuit->direct.corrupt_rate > 0 && shard_rng.Bernoulli(circuit->direct.corrupt_rate)) {
-      if (!CorruptInFlight(wire, shard_rng, circuit, shard)) {
-        ++circuit->stats.lost;
-        ++total_lost_[static_cast<size_t>(shard)];
-        PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
-                               circuit->trace_name + ".loss", "seq", seq, "bytes",
-                               static_cast<int64_t>(bytes));
+    // short-circuits so healthy stages draw nothing (determinism).
+    if (quality->corrupt_rate > 0 && rng->Bernoulli(quality->corrupt_rate)) {
+      if (!CorruptInFlight(wire, *rng, circuit, shard)) {
+        CountLoss(src, circuit, seq, bytes);
         co_return;
       }
       PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_corrupt,
                              circuit->trace_name + ".corrupt", "seq", seq, "bytes",
                              static_cast<int64_t>(bytes));
     }
-    Duration jitter = circuit->direct.jitter_max > 0
-                          ? static_cast<Duration>(shard_rng.Uniform(
-                                0.0, static_cast<double>(circuit->direct.jitter_max)))
-                          : 0;
-    Time exit_at =
-        std::max(sched->now() + circuit->direct.propagation + jitter,
-                 circuit->stage_last_exit[0] + 1);
-    circuit->stage_last_exit[0] = exit_at;
-    if (circuit->dst->shard_ != shard) {
+    if (hop != nullptr) {
+      // The gate serializes whole segments FIFO across every circuit
+      // sharing the hop (contention); reservations are made in program
+      // order, which per circuit is send order by induction.
+      co_await hop->gate.Transmit(bytes);
+      ChargeWire(src, bytes);
+      circuit = FindCircuit(src, vci);
+      if (circuit == nullptr || circuit->generation != generation) {
+        ++total_lost_[static_cast<size_t>(shard)];  // closed (or re-opened) while in flight
+        co_return;
+      }
+      // Re-borrow the stage from the re-fetched circuit: the bridged path is
+      // immutable after OpenCircuit, so this is the same hop today, but it
+      // keeps every pointer read downstream of a suspension fresh.
+      hop = circuit->path[i];
+      quality = &hop->quality;
+      rng = &hop->rng;
+    }
+    const Duration jitter =
+        quality->jitter_max > 0
+            ? static_cast<Duration>(rng->Uniform(0.0, static_cast<double>(quality->jitter_max)))
+            : 0;
+    const Time exit_at = std::max(sched->now() + quality->propagation + jitter,
+                                  circuit->stage_last_exit[i] + 1);
+    circuit->stage_last_exit[i] = exit_at;
+    if (i + 1 == stages && circuit->dst->shard_ != shard) {
       // Cross-shard fabric exit: no final wait here — the delivery time
       // rides the mailbox instead (exit_at clears the lookahead contract
-      // because OpenCircuit pinned propagation >= lookahead).
-      DeliverCrossShard(circuit, src, vci, exit_at, seq, bytes, std::move(wire), departed);
+      // because OpenCircuit pinned the last stage's propagation >= lookahead).
+      // The exit is accounted here, on the source shard that owns the
+      // circuit; the destination link state only changes at stop-the-world
+      // instants (SetPortUp is control-plane), so it is stable for the whole
+      // window.  A port that goes down between this post and the arrival
+      // window is handled again in ArriveTransfer (that corner counts as a
+      // delivery here and a discard there — documented in §14).
+      if (CountExit(src, circuit, exit_at, departed, seq, bytes)) {
+        DeliverCrossShard(circuit, src, vci, exit_at, std::move(wire));
+      }
       co_return;
     }
     co_await sched->WaitUntil(exit_at);
@@ -295,92 +349,11 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
       ++total_lost_[static_cast<size_t>(shard)];  // closed (or re-opened) while in flight
       co_return;
     }
-  } else {
-    for (size_t i = 0; i < circuit->path.size(); ++i) {
-      NetHop* hop = circuit->path[i];
-      if (hop->rng.Bernoulli(hop->quality.loss_rate) ||
-          hop->gate.current_queue_delay() > hop->quality.max_queue) {
-        ++circuit->stats.lost;
-        ++total_lost_[static_cast<size_t>(shard)];
-        PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
-                               circuit->trace_name + ".loss", "seq", seq, "bytes",
-                               static_cast<int64_t>(bytes));
-        co_return;
-      }
-      if (hop->quality.corrupt_rate > 0 && hop->rng.Bernoulli(hop->quality.corrupt_rate)) {
-        if (!CorruptInFlight(wire, hop->rng, circuit, shard)) {
-          ++circuit->stats.lost;
-          ++total_lost_[static_cast<size_t>(shard)];
-          PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
-                                 circuit->trace_name + ".loss", "seq", seq, "bytes",
-                                 static_cast<int64_t>(bytes));
-          co_return;
-        }
-        PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_corrupt,
-                               circuit->trace_name + ".corrupt", "seq", seq, "bytes",
-                               static_cast<int64_t>(bytes));
-      }
-      // The gate serializes whole segments FIFO across every circuit
-      // sharing the hop (contention); reservations are made in program
-      // order, which per circuit is send order by induction.
-      co_await hop->gate.Transmit(bytes);
-      bytes_on_wire_[static_cast<size_t>(shard)] += bytes;
-      PANDORA_TRACE_COUNTER(sched->trace(), trace_wire_bytes_[static_cast<size_t>(shard)],
-                            "net.bytes_on_wire",
-                            static_cast<int64_t>(bytes_on_wire_[static_cast<size_t>(shard)]));
-      circuit = FindCircuit(src, vci);
-      if (circuit == nullptr || circuit->generation != generation) {
-        ++total_lost_[static_cast<size_t>(shard)];  // closed (or re-opened) while in flight
-        co_return;
-      }
-      // Re-borrow the hop from the re-fetched circuit: the bridged path is
-      // immutable after OpenCircuit, so this is the same pointer today, but
-      // it keeps every pointer read downstream of a suspension fresh.
-      hop = circuit->path[i];
-      Duration jitter = hop->quality.jitter_max > 0
-                            ? static_cast<Duration>(hop->rng.Uniform(
-                                  0.0, static_cast<double>(hop->quality.jitter_max)))
-                            : 0;
-      Time exit_at = std::max(sched->now() + hop->quality.propagation + jitter,
-                              circuit->stage_last_exit[i] + 1);
-      circuit->stage_last_exit[i] = exit_at;
-      if (i + 1 == circuit->path.size() && circuit->dst->shard_ != shard) {
-        // Last hop of a cross-shard bridged path: the exit posts into the
-        // destination shard instead of waiting here (the hop's propagation
-        // is the lookahead floor, pinned at OpenCircuit).
-        DeliverCrossShard(circuit, src, vci, exit_at, seq, bytes, std::move(wire), departed);
-        co_return;
-      }
-      co_await sched->WaitUntil(exit_at);
-      circuit = FindCircuit(src, vci);
-      if (circuit == nullptr || circuit->generation != generation) {
-        ++total_lost_[static_cast<size_t>(shard)];
-        co_return;
-      }
-    }
   }
 
-  // The destination link may have gone down while this segment was in
-  // flight; a dead box receives nothing (PandoraBox::Crash takes the port
-  // down before killing the box's processes, so nothing parks forever on an
-  // unreceived rx channel).
-  if (!circuit->dst->up_) {
-    ++circuit->stats.lost;
-    ++total_lost_[static_cast<size_t>(shard)];
-    PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss, circuit->trace_name + ".loss",
-                           "seq", seq, "bytes", static_cast<int64_t>(bytes));
+  if (!CountExit(src, circuit, sched->now(), departed, seq, bytes)) {
     co_return;
   }
-  ++circuit->stats.delivered;
-  ++total_delivered_[static_cast<size_t>(shard)];
-  circuit->stats.latency.Add(static_cast<double>(sched->now() - departed));
-  // Per-(stream, network-hop) transit latency, keyed by the destination VCI.
-  PANDORA_TRACE_HISTOGRAM(sched->trace(), circuit->trace_hist,
-                          circuit->trace_name + ".latency", "us", sched->now() - departed);
-  if (circuit->last_rx_time >= 0) {
-    circuit->stats.inter_arrival.Add(static_cast<double>(sched->now() - circuit->last_rx_time));
-  }
-  circuit->last_rx_time = sched->now();
   NetRx delivery;
   delivery.vci = vci;
   delivery.wire = std::move(wire);
@@ -388,34 +361,9 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
 }
 
 void AtmNetwork::DeliverCrossShard(Circuit* circuit, AtmPort* src, Vci vci, Time exit_at,
-                                   int64_t seq, size_t bytes, WireRef wire, Time departed) {
+                                   WireRef wire) {
   const int shard = src->shard_;
   AtmPort* dst = circuit->dst;
-  // The destination link state only changes at stop-the-world instants
-  // (SetPortUp is control-plane), so this read is stable for the whole
-  // window.  A port that is down NOW loses the segment at the exit, exactly
-  // like the same-shard tail; a port that goes down between this post and
-  // the arrival window is handled again in ArriveTransfer (that corner
-  // counts as a delivery here and a discard there — documented in §14).
-  if (!dst->up_) {
-    ++circuit->stats.lost;
-    ++total_lost_[static_cast<size_t>(shard)];
-    PANDORA_TRACE_INSTANT2(src->sched_->trace(), circuit->trace_loss,
-                           circuit->trace_name + ".loss", "seq", seq, "bytes",
-                           static_cast<int64_t>(bytes));
-    return;
-  }
-  // Fabric-exit accounting on the source shard, which owns the circuit: the
-  // delivery instant is exit_at by construction (the posted timer fires then).
-  ++circuit->stats.delivered;
-  ++total_delivered_[static_cast<size_t>(shard)];
-  circuit->stats.latency.Add(static_cast<double>(exit_at - departed));
-  PANDORA_TRACE_HISTOGRAM(src->sched_->trace(), circuit->trace_hist,
-                          circuit->trace_name + ".latency", "us", exit_at - departed);
-  if (circuit->last_rx_time >= 0) {
-    circuit->stats.inter_arrival.Add(static_cast<double>(exit_at - circuit->last_rx_time));
-  }
-  circuit->last_rx_time = exit_at;
 
   // Copy the encoded bytes into a transfer record: WireRef refcounts are
   // shard-local, so the handle itself must not cross the boundary.  Records
@@ -442,15 +390,11 @@ void AtmNetwork::ArriveTransfer(WireTransfer* transfer) {
   // Destination-shard timer context, at the posted exit_at.
   AtmPort* dst = transfer->dst;
   transfer->consumed = true;  // the next barrier recycles the record
-  if (!dst->up_) {
-    // Went down at a stop-the-world instant while the bytes were in flight.
-    ++total_lost_[static_cast<size_t>(dst->shard_)];
-    return;
-  }
   // Re-home the bytes into the destination port's pool (the source pool's
-  // refcounts must stay on the source shard).  A starved pool discards, the
-  // same back-pressure answer a down port gets.
-  std::optional<WireRef> wire = dst->wire_pool_.TryAllocate();
+  // refcounts must stay on the source shard).  A port that went down at a
+  // stop-the-world instant while the bytes were in flight discards them, and
+  // so does a starved pool (the same back-pressure answer).
+  std::optional<WireRef> wire = dst->up_ ? dst->wire_pool_.TryAllocate() : std::nullopt;
   if (!wire.has_value()) {
     ++total_lost_[static_cast<size_t>(dst->shard_)];
     return;

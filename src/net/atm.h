@@ -206,10 +206,9 @@ class AtmNetwork : public ShardBarrierTask {
   void RestartPort(AtmPort* port);
 
   // Per-circuit impairment for circuits with no intermediate hops: replaces
-  // the direct-path quality (burst loss, jitter storm, rate change, bit
-  // corruption).  Returns false if no such circuit is open, or if the
-  // circuit is bridged — a hop path never consults the direct quality, so
-  // accepting the write would let a storm silently not happen.
+  // the quality of the one stage (burst loss, jitter storm, rate change, bit
+  // corruption).  Returns false if no such circuit is open, or if it is
+  // bridged — its hop stages never read it, so a storm would silently not happen.
   bool SetCircuitQuality(AtmPort* src, Vci vci, const HopQuality& quality);
   // Snapshot of the current direct-path quality, for restore-after-episode.
   // Null for closed and for bridged circuits, matching SetCircuitQuality.
@@ -257,16 +256,26 @@ class AtmNetwork : public ShardBarrierTask {
     TraceSiteId trace_corrupt = 0;
   };
 
-  // Walks the remaining hops of one segment's journey; spawned per segment
-  // so transmissions overlap (store and forward).  Keyed by (src, vci), not
-  // a Circuit*: the circuit can be closed (box crash, hang-up) while this
+  // Walks one segment through the circuit's store-and-forward stages, one
+  // per hop (a direct circuit is the one gate-less stage); spawned per
+  // segment so transmissions overlap.  Keyed by (src, vci), not a
+  // Circuit*: the circuit can be closed (box crash, hang-up) while this
   // segment is mid-flight, so the pointer is re-fetched after every
   // suspension — and its generation compared, since the key may have been
   // re-opened for a new call — with the segment counted as lost if the
   // original circuit is gone.  The wire handle is MOVED stage to stage; the
   // encoded bytes are never copied (except copy-on-corrupt below).
   Process ForwardProc(AtmPort* src, Vci vci, WireRef wire);
-  Circuit* FindCircuit(AtmPort* src, Vci vci);
+  Circuit* FindCircuit(AtmPort* src, Vci vci) const;
+  // A cross-shard circuit's last stage must cover the ShardSet lookahead.
+  void CheckExitLatency(AtmPort* src, const Circuit& circuit) const;
+  // Accounting on the port's shard slice: bytes through a transmission stage,
+  // a lost segment, a segment leaving the fabric at `at` (lost if the
+  // destination port is down; returns whether it was delivered).
+  void ChargeWire(AtmPort* port, size_t bytes);
+  void CountLoss(AtmPort* src, Circuit* circuit, int64_t seq, size_t bytes);
+  bool CountExit(AtmPort* src, Circuit* circuit, Time at, Time departed, int64_t seq,
+                 size_t bytes);
 
   // Applies a corrupt_rate strike: replaces `wire` with a damaged COPY so
   // sibling handles of the same buffer (multi-destination fanout) keep the
@@ -296,10 +305,9 @@ class AtmNetwork : public ShardBarrierTask {
     std::vector<WireTransfer> free;
   };
 
-  // Fabric-exit handoff for a cross-shard circuit: source-shard accounting
-  // at `exit_at`, then the bytes ride the mailbox to the destination shard.
-  void DeliverCrossShard(Circuit* circuit, AtmPort* src, Vci vci, Time exit_at, int64_t seq,
-                         size_t bytes, WireRef wire, Time departed);
+  // Fabric-exit handoff for an accounted cross-shard exit: the bytes ride the
+  // mailbox to the destination shard, arriving at `exit_at`.
+  void DeliverCrossShard(Circuit* circuit, AtmPort* src, Vci vci, Time exit_at, WireRef wire);
   // Destination-shard arrival (timer context): re-homes the bytes into the
   // destination port's pool and hands them to the box.
   void ArriveTransfer(WireTransfer* transfer);

@@ -264,37 +264,12 @@ void ShardSet::RunUntilQuiescent() {
     shards_[0]->RunUntilQuiescent();
     return;
   }
-  for (;;) {
-    DrainMailboxes();
-    const Time t_min = MinNextEvent();
-    const Time g = NextGlobalTime();
-    if (t_min == kNever && g == kNever) {
-      // Idle-skipped shards' clocks may lag the last window; catch them up so
-      // every clock (and so now()) reports the same quiescence point a
-      // non-skipping run would.  No events fire: everything is quiescent.
-      for (auto& shard : shards_) {
-        shard->RunUntil(window_end_);
-      }
-      return;
-    }
-    if (g <= t_min) {
-      // Stop-the-world instant: advance every shard through g (shard events
-      // at g dispatch first, on their own shards), then run the due globals
-      // on this thread while the helpers wait.
-      RunWindow(g, /*allow_idle_skip=*/false);
-      RunBarrierTasks();
-      RunGlobalEvents(g);
-      continue;
-    }
-    Time window_end = t_min + options_.lookahead - 1;
-    if (window_end < t_min) {  // arithmetic overflow near kNever
-      window_end = t_min;
-    }
-    if (window_end >= g) {  // never run a shard past a pending global
-      window_end = g - 1;
-    }
-    RunWindow(window_end, /*allow_idle_skip=*/true);
-    RunBarrierTasks();
+  RunWindows(kNever);
+  // Idle-skipped shards' clocks may lag the last window; catch them up so
+  // every clock (and so now()) reports the same quiescence point a
+  // non-skipping run would.  No events fire: everything is quiescent.
+  for (auto& shard : shards_) {
+    shard->RunUntil(window_end_);
   }
 }
 
@@ -303,30 +278,7 @@ void ShardSet::RunUntil(Time limit) {
     shards_[0]->RunUntil(limit);
     return;
   }
-  for (;;) {
-    DrainMailboxes();
-    const Time t_min = MinNextEvent();
-    const Time g = NextGlobalTime();
-    const Time next = g < t_min ? g : t_min;
-    if (next > limit) {
-      break;
-    }
-    if (g <= t_min) {
-      RunWindow(g, /*allow_idle_skip=*/false);
-      RunBarrierTasks();
-      RunGlobalEvents(g);
-      continue;
-    }
-    Time window_end = t_min + options_.lookahead - 1;
-    if (window_end > limit || window_end < t_min) {
-      window_end = limit;
-    }
-    if (window_end >= g) {
-      window_end = g - 1;
-    }
-    RunWindow(window_end, /*allow_idle_skip=*/true);
-    RunBarrierTasks();
-  }
+  RunWindows(limit);
   // Nothing left at or before `limit`: advance every clock to the limit so
   // callers see the same now() a bare Scheduler would report.  Inline on the
   // coordinator — no events fire, the barrier already synchronised.
@@ -334,6 +286,39 @@ void ShardSet::RunUntil(Time limit) {
     shard->RunUntil(limit);
   }
   window_end_ = limit > window_end_ ? limit : window_end_;
+}
+
+void ShardSet::RunWindows(Time limit) {
+  for (;;) {
+    DrainMailboxes();
+    const Time t_min = MinNextEvent();
+    const Time g = NextGlobalTime();
+    const Time next = g < t_min ? g : t_min;
+    if (next == kNever || next > limit) {
+      return;
+    }
+    // A global due first is a stop-the-world instant: advance every shard
+    // through g (shard events at g dispatch first, on their own shards),
+    // then run the due globals on this thread while the helpers wait.  An
+    // ordinary window runs one lookahead past the earliest event, never past
+    // `limit` and never into a pending global.
+    const bool global = g <= t_min;
+    Time window_end = g;
+    if (!global) {
+      window_end = t_min + options_.lookahead - 1;
+      if (window_end < t_min) {
+        // Arithmetic overflow near kNever: RunUntil runs to its limit,
+        // quiescence only through the earliest event.
+        window_end = limit == kNever ? t_min : limit;
+      }
+      window_end = std::min({window_end, limit, g - 1});
+    }
+    RunWindow(window_end, /*allow_idle_skip=*/!global);
+    RunBarrierTasks();
+    if (global) {
+      RunGlobalEvents(g);
+    }
+  }
 }
 
 void ShardSet::Shutdown() {

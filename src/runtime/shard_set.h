@@ -245,6 +245,9 @@ class ShardSet {
   // Global windows pass false: RunGlobalEvents' contract is that every clock
   // has reached the instant before a stop-the-world callback runs.
   void RunWindow(Time window_end, bool allow_idle_skip);
+  // The window loop behind RunUntil and RunUntilQuiescent; returns once
+  // nothing is due at or before `limit` (kNever: once all is quiescent).
+  void RunWindows(Time limit);
   // Runs worker `worker`'s statically-assigned shards to window_end_.
   void RunWorkerShards(int worker);
   void HelperMain(int worker);

@@ -1,6 +1,7 @@
 // Tests for the ATM network simulation: circuits, VCI relabelling, FIFO
 // delivery under jitter, loss, multi-hop paths and the non-interleaving
 // interface (paper sections 1.1, 4.2).
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,6 +226,80 @@ TEST(AtmTest, NonInterleavedInterfaceDelaysAudioBehindVideo) {
   EXPECT_EQ(got[1].stream, 42u);
   // The audio could not start serializing until the ~20ms video finished.
   EXPECT_GT(rig.a->egress().busy_time(), Millis(20));
+}
+
+// Drains a port without decoding: corrupted images count as arrivals too.
+Process DrainPort(AtmPort* port) {
+  for (;;) {
+    NetRx in = co_await port->rx().Receive();
+  }
+}
+
+TEST(AtmTest, EveryOfferedSegmentIsDeliveredOrLost) {
+  // Conservation across the fabric: every segment a circuit was offered ends
+  // delivered or lost, on direct and bridged circuits, same-shard and
+  // cross-shard, under loss, corruption, jitter and queue-bound sheds.
+  ShardSetOptions options;
+  options.shards = 4;
+  ShardSet set(options);
+  AtmNetwork net(&set, /*seed=*/5);
+  BufferPool pool0(&set.shard(0), "pool0", 256);
+  BufferPool pool1(&set.shard(1), "pool1", 256);
+  AtmPort* a = net.AddPort("a", 20'000'000, 256, nullptr, /*shard=*/0);
+  AtmPort* b = net.AddPort("b", 20'000'000, 256, nullptr, /*shard=*/0);
+  AtmPort* c = net.AddPort("c", 20'000'000, 256, nullptr, /*shard=*/1);
+  AtmPort* d = net.AddPort("d", 20'000'000, 256, nullptr, /*shard=*/2);
+  AtmPort* e = net.AddPort("e", 20'000'000, 256, nullptr, /*shard=*/3);
+
+  HopQuality impaired;
+  impaired.propagation = Millis(2);  // covers the 1 ms lookahead floor
+  impaired.jitter_max = Millis(3);
+  impaired.loss_rate = 0.05;
+  impaired.corrupt_rate = 0.1;
+  HopQuality narrow = impaired;  // a slow bridge with a short queue: sheds
+  narrow.bits_per_second = 1'000'000;
+  narrow.max_queue = Millis(2);
+  std::vector<NetHop*> path0;
+  std::vector<NetHop*> path1;
+  for (const HopQuality& q : {impaired, narrow, impaired}) {
+    path0.push_back(net.AddHop("h0." + std::to_string(path0.size()), q, /*shard=*/0));
+    path1.push_back(net.AddHop("h1." + std::to_string(path1.size()), q, /*shard=*/1));
+  }
+  struct Leg {
+    AtmPort* src;
+    Vci vci;
+  };
+  const std::vector<Leg> legs = {{a, 1}, {c, 2}, {a, 3}, {c, 4}};
+  net.OpenCircuit(a, 1, b, {}, impaired);     // direct, same shard
+  net.OpenCircuit(c, 2, d, {}, impaired);     // direct, cross-shard
+  net.OpenCircuit(a, 3, b, path0, impaired);  // bridged, same shard
+  net.OpenCircuit(c, 4, e, path1, impaired);  // bridged, cross-shard
+
+  for (const Leg& leg : legs) {
+    Scheduler& sched = set.shard(leg.src->shard());
+    BufferPool* pool = leg.src == a ? &pool0 : &pool1;
+    sched.Spawn(SendSegments(&sched, pool, leg.src, leg.vci, 300, Millis(1), 200), "tx");
+  }
+  for (AtmPort* port : {b, d, e}) {
+    set.shard(port->shard()).Spawn(DrainPort(port), "rx");
+  }
+  set.RunUntilQuiescent();
+
+  uint64_t offered = 0;
+  for (const Leg& leg : legs) {
+    const CircuitStats* stats = net.StatsFor(leg.src, leg.vci);
+    EXPECT_NE(stats, nullptr) << "vci " << leg.vci;
+    if (stats == nullptr) {
+      continue;  // no early return: the frames must die in Shutdown below
+    }
+    EXPECT_EQ(stats->offered, 300u) << "vci " << leg.vci;
+    EXPECT_EQ(stats->offered, stats->delivered + stats->lost) << "vci " << leg.vci;
+    EXPECT_GT(stats->lost, 0u) << "vci " << leg.vci;
+    EXPECT_GT(stats->corrupted, 0u) << "vci " << leg.vci;
+    offered += stats->offered;
+  }
+  EXPECT_EQ(net.total_delivered() + net.total_lost(), offered);
+  set.Shutdown();
 }
 
 TEST(AtmDeathTest, NegativeShardIndexFailsTheCheck) {

@@ -544,13 +544,13 @@ BORROW_SOURCE_RE = re.compile(
 )
 
 PTR_REF_DECL_RE = re.compile(
-    r"(?:^|[;{}])\s*"
+    r"(?:^|(?<=[;{}]))\s*"
     r"(?:const\s+)?(?:[A-Za-z_][\w:]*(?:<[^<>;]*>)?|auto)\s*[*&]+\s*"
     r"(?P<name>[A-Za-z_]\w*)\s*=\s*(?P<init>[^;]*);"
 )
 
 AUTO_DECL_RE = re.compile(
-    r"(?:^|[;{}])\s*(?:const\s+)?auto\s+(?P<name>[A-Za-z_]\w*)\s*=\s*(?P<init>[^;]*);"
+    r"(?:^|(?<=[;{}]))\s*(?:const\s+)?auto\s+(?P<name>[A-Za-z_]\w*)\s*=\s*(?P<init>[^;]*);"
 )
 
 RANGE_FOR_RE = re.compile(

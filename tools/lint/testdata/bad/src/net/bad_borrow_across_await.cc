@@ -30,6 +30,15 @@ Process AtmFault::Meter(AtmNetwork* net, Vci vci) {
   }
 }
 
+// Back-to-back borrows: the second declaration starts right after the
+// first one's semicolon, and is a borrow in its own right.
+Process AtmFault::Stage(AtmNetwork* net, Vci vci) {
+  NetHop* hop = net->FindHop(vci);
+  Rng* rng = &net->rngs_[vci];
+  co_await hop->gate.Transmit(64);
+  rng->Bernoulli(0.5);  // EXPECT-LINT: suspension-borrow
+}
+
 // Range-for keeps iterators into an owned container live across the Send
 // rendezvous; an append or repack during the wait invalidates them.
 Process FaultLog::Flush(Channel<SegmentRef>* out) {

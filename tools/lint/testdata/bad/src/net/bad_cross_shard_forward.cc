@@ -19,8 +19,7 @@ Process AtmNetwork::ForwardDirect(AtmPort* src, Vci vci, WireRef wire) {
   // shape re-fetches (generation-checked) before touching it — or, for a
   // cross-shard exit, posts WITHOUT suspending at all.
   if (circuit->dst->shard_ != src->shard_) {  // EXPECT-LINT: suspension-borrow
-    DeliverCrossShard(circuit, src, vci, exit_at, 0, wire->bytes.size(),
-                      std::move(wire), exit_at);
+    DeliverCrossShard(circuit, src, vci, exit_at, std::move(wire));
   }
   co_return;
 }
