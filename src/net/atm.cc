@@ -106,7 +106,7 @@ void AtmNetwork::OpenCircuit(AtmPort* src, Vci vci, AtmPort* dst, std::vector<Ne
                   "bridged hop on a different shard than the circuit's source port");
   }
   CheckExitLatency(src, *circuit);
-  circuits_[{src, vci}] = std::move(circuit);
+  circuits_[CircuitKey{src, vci}] = std::move(circuit);
 }
 
 void AtmNetwork::CheckExitLatency(AtmPort* src, const Circuit& circuit) const {
@@ -121,7 +121,7 @@ void AtmNetwork::CheckExitLatency(AtmPort* src, const Circuit& circuit) const {
                 "cross-shard circuit latency below the ShardSet lookahead floor");
 }
 
-void AtmNetwork::CloseCircuit(AtmPort* src, Vci vci) { circuits_.erase({src, vci}); }
+void AtmNetwork::CloseCircuit(AtmPort* src, Vci vci) { circuits_.erase(CircuitKey{src, vci}); }
 
 void AtmNetwork::SetPortUp(AtmPort* port, bool up) {
   port->up_ = up;
@@ -174,7 +174,7 @@ const CircuitStats* AtmNetwork::StatsFor(AtmPort* src, Vci vci) const {
 }
 
 AtmNetwork::Circuit* AtmNetwork::FindCircuit(AtmPort* src, Vci vci) const {
-  auto it = circuits_.find({src, vci});
+  auto it = circuits_.find(CircuitKey{src, vci});
   return it == circuits_.end() ? nullptr : it->second.get();
 }
 

@@ -36,9 +36,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/buffer/pool.h"
@@ -325,7 +325,20 @@ class AtmNetwork : public ShardBarrierTask {
   std::vector<Rng> rngs_;  // per-shard forwarding streams, index = shard
   std::vector<std::unique_ptr<AtmPort>> ports_;
   std::vector<std::unique_ptr<NetHop>> hops_;
-  std::map<std::pair<AtmPort*, Vci>, std::unique_ptr<Circuit>> circuits_;
+  // Circuits by (source port, VCI): looked up several times per segment
+  // and never iterated, so a hash index (no visit order to leak).
+  struct CircuitKey {
+    const AtmPort* src = nullptr;
+    Vci vci = 0;
+    bool operator==(const CircuitKey&) const = default;
+  };
+  struct CircuitKeyHash {
+    size_t operator()(const CircuitKey& key) const {
+      return std::hash<const AtmPort*>()(key.src) ^
+             (static_cast<size_t>(key.vci) * 0x9e3779b97f4a7c15ull);
+    }
+  };
+  std::unordered_map<CircuitKey, std::unique_ptr<Circuit>, CircuitKeyHash> circuits_;
   std::vector<TransferLane> transfers_;  // index = source shard
   uint64_t next_generation_ = 0;
   // Index = shard; single-writer during windows, summed at the control plane.

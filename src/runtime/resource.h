@@ -23,7 +23,6 @@
 #include <string>
 
 #include "src/runtime/scheduler.h"
-#include "src/runtime/task.h"
 #include "src/runtime/time.h"
 #include "src/trace/trace.h"
 
@@ -38,8 +37,10 @@ class SerialResource {
   SerialResource& operator=(const SerialResource&) = delete;
 
   // Occupies the resource for `hold`, queueing FIFO behind earlier users.
-  // Completes when the reservation ends.
-  Task<void> Acquire(Duration hold) {
+  // The reservation (and its trace records) is made at the call; the
+  // returned awaiter completes when it ends, without suspending if it ends
+  // now.  A plain awaiter, not a coroutine: a reservation costs no frame.
+  [[nodiscard]] auto Acquire(Duration hold) {
     Time start = std::max(sched_->now(), next_free_);
     queue_delay_last_ = start - sched_->now();
     max_queue_delay_ = std::max(max_queue_delay_, queue_delay_last_);
@@ -54,7 +55,7 @@ class SerialResource {
                           queue_delay_last_);
     PANDORA_TRACE_COUNTER(sched_->trace(), trace_util_site_, name_ + ".util_pct",
                           static_cast<int64_t>(Utilization() * 100.0));
-    co_await sched_->WaitUntil(next_free_);
+    return sched_->WaitUntil(next_free_);
   }
 
   // Time at which a new acquisition would begin.
@@ -97,7 +98,7 @@ class CpuModel : public SerialResource {
   CpuModel(Scheduler* sched, std::string name) : SerialResource(sched, std::move(name)) {}
 
   // Charge `cost` microseconds of compute.
-  Task<void> Consume(Duration cost) { return Acquire(cost); }
+  [[nodiscard]] auto Consume(Duration cost) { return Acquire(cost); }
 };
 
 // A serial transmission resource with a bit rate: an Inmos link, a network
@@ -117,9 +118,7 @@ class BandwidthGate : public SerialResource {
 
   // Transmits `bytes`, queueing whole (non-interleaved) behind earlier
   // transmissions.  Completes when the last bit clears the gate.
-  Task<void> Transmit(size_t bytes) {
-    return Acquire(TransmissionTime(bytes));
-  }
+  [[nodiscard]] auto Transmit(size_t bytes) { return Acquire(TransmissionTime(bytes)); }
 
  private:
   int64_t bits_per_second_;

@@ -12,7 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "src/segment/constants.h"
@@ -46,6 +46,7 @@ class StreamTable {
       route.attrs.audio = audio;
       route.attrs.open_order = next_open_order_++;
       it = table_.emplace(stream, std::move(route)).first;
+      order_.insert(std::lower_bound(order_.begin(), order_.end(), stream), stream);
       ++version_;
     }
     return it->second;
@@ -118,14 +119,17 @@ class StreamTable {
 
   void Close(StreamId stream) {
     if (table_.erase(stream) > 0) {
+      order_.erase(std::lower_bound(order_.begin(), order_.end(), stream));
       ++version_;
     }
   }
 
-  // Streams currently routed towards `destination` (for the degrader).
+  // Streams currently routed towards `destination` (for the degrader), in
+  // stream-id order.
   std::vector<StreamAttrs> ActiveTowards(DestinationId destination) const {
     std::vector<StreamAttrs> active;
-    for (const auto& [stream, route] : table_) {
+    for (StreamId stream : order_) {
+      const StreamRoute& route = table_.at(stream);
       for (DestinationId d : route.destinations) {
         if (d == destination) {
           active.push_back(route.attrs);
@@ -137,7 +141,6 @@ class StreamTable {
   }
 
   size_t size() const { return table_.size(); }
-  const std::map<StreamId, StreamRoute>& entries() const { return table_; }
 
   // Bumped on every mutation that can change some ActiveTowards() result
   // (stream open/close, destination add/remove) — NOT on per-segment
@@ -146,7 +149,12 @@ class StreamTable {
   uint64_t version() const { return version_; }
 
  private:
-  std::map<StreamId, StreamRoute> table_;
+  // Routes by stream id: Find runs on every switched segment, so a hash
+  // index; `order_` keeps the ids sorted for ActiveTowards, which must not
+  // depend on hash order.  Nodes are stable, so Open's reference survives
+  // later opens.
+  std::unordered_map<StreamId, StreamRoute> table_;
+  std::vector<StreamId> order_;
   uint64_t next_open_order_ = 1;
   uint64_t version_ = 1;
 };

@@ -1,5 +1,10 @@
 #include "src/video/dpcm.h"
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <utility>
+
 #include "src/runtime/check.h"
 
 namespace pandora {
@@ -16,6 +21,95 @@ size_t CompressedLineSize(LineCoding coding, int width) {
   return 0;
 }
 
+namespace {
+
+// Row kernels work in blocks of 16 pixels: the vectorizer turns a
+// fixed-count inner loop over __restrict__ rows into one SIMD operation, and
+// a ragged end re-runs the last full block shifted left to end on the row's
+// last pixel instead of falling back to a scalar tail.  Only rows shorter
+// than a block run the scalar loop.
+constexpr int kRowBlock = 16;
+
+// out[i] = op(a[i], b[i]) (mod 256) for i in [0, n).  Pointwise, so the
+// overlapping last block rewrites the bytes it shares with its neighbour
+// unchanged.
+template <typename Op>
+void CombineRows(const uint8_t* __restrict__ a, const uint8_t* __restrict__ b, int n,
+                 uint8_t* __restrict__ out, Op op) {
+  if (n < kRowBlock) {
+    for (int i = 0; i < n; ++i) {
+      out[i] = static_cast<uint8_t>(op(a[i], b[i]));
+    }
+    return;
+  }
+  for (int i = 0;; i += kRowBlock) {
+    if (i > n - kRowBlock) {
+      i = n - kRowBlock;
+    }
+    for (int k = 0; k < kRowBlock; ++k) {
+      out[i + k] = static_cast<uint8_t>(op(a[i + k], b[i + k]));
+    }
+    if (i == n - kRowBlock) {
+      return;
+    }
+  }
+}
+
+// One block of pixels as a generic vector: GCC and Clang lower its adds and
+// lane shuffles to the target's SIMD instructions (or to scalar code where
+// there is none), so every target runs the same body.
+using ByteLanes = uint8_t __attribute__((vector_size(kRowBlock)));
+using LaneIndex = std::make_integer_sequence<int, kRowBlock>;
+
+// Lane i of the result is lane i - Shift of `v` (zero below Shift).
+template <int Shift, int... I>
+ByteLanes ShiftLanesUp(ByteLanes v, std::integer_sequence<int, I...>) {
+  return __builtin_shufflevector(ByteLanes{}, v, (kRowBlock + I - Shift)...);
+}
+
+// Every lane of the result is the last lane of `v`.
+template <int... I>
+ByteLanes BroadcastLastLane(ByteLanes v, std::integer_sequence<int, I...>) {
+  return __builtin_shufflevector(v, v, (I * 0 + kRowBlock - 1)...);
+}
+
+// out[i] = in[0] + ... + in[i] (mod 256) for i in [0, n): the DPCM
+// predictor chain as a blocked prefix sum.  Each block is scanned in four
+// shift-and-add steps (lane i gains lane i-1, then i-2, i-4, i-8) and offset
+// by the running sum of everything before it; the overlapping last block
+// takes that sum from out[i - 1], which is already final.
+void PrefixSumRow(const uint8_t* __restrict__ in, int n, uint8_t* __restrict__ out) {
+  if (n < kRowBlock) {
+    uint8_t value = 0;
+    for (int i = 0; i < n; ++i) {
+      value = static_cast<uint8_t>(value + in[i]);
+      out[i] = value;
+    }
+    return;
+  }
+  ByteLanes carry = {};
+  for (int i = 0;; i += kRowBlock) {
+    if (i > n - kRowBlock) {
+      i = n - kRowBlock;
+      std::memset(&carry, out[i - 1], sizeof carry);
+    }
+    ByteLanes v;
+    std::memcpy(&v, in + i, sizeof v);
+    v += ShiftLanesUp<1>(v, LaneIndex{});
+    v += ShiftLanesUp<2>(v, LaneIndex{});
+    v += ShiftLanesUp<4>(v, LaneIndex{});
+    v += ShiftLanesUp<8>(v, LaneIndex{});
+    v += carry;
+    std::memcpy(out + i, &v, sizeof v);
+    if (i == n - kRowBlock) {
+      return;
+    }
+    carry = BroadcastLastLane(v, LaneIndex{});
+  }
+}
+
+}  // namespace
+
 size_t CompressLineInto(LineCoding coding, const uint8_t* pixels, int width,
                         const uint8_t* above, uint8_t* out) {
   const size_t size = CompressedLineSize(coding, width);
@@ -24,31 +118,26 @@ size_t CompressLineInto(LineCoding coding, const uint8_t* pixels, int width,
   uint8_t* residuals = out + 1;
   switch (coding) {
     case LineCoding::kRawLine:
-      for (int i = 0; i < width; ++i) {
-        residuals[i] = pixels[i];
+      std::copy(pixels, pixels + std::max(width, 0), residuals);
+      break;
+    case LineCoding::kDpcmLine:
+      // Each residual reads its own predictor pixel: no loop-carried state.
+      if (width > 0) {
+        residuals[0] = pixels[0];
+        CombineRows(pixels + 1, pixels, width - 1, residuals + 1, std::minus<>());
       }
       break;
-    case LineCoding::kDpcmLine: {
-      uint8_t prediction = 0;
-      for (int i = 0; i < width; ++i) {
-        residuals[i] = static_cast<uint8_t>(pixels[i] - prediction);
-        prediction = pixels[i];
+    case LineCoding::kSubsampledDpcmLine:
+      if (width > 0) {
+        residuals[0] = pixels[0];
+      }
+      for (int i = 2, j = 1; i < width; i += 2, ++j) {
+        residuals[j] = static_cast<uint8_t>(pixels[i] - pixels[i - 2]);
       }
       break;
-    }
-    case LineCoding::kSubsampledDpcmLine: {
-      uint8_t prediction = 0;
-      for (int i = 0, j = 0; i < width; i += 2, ++j) {
-        residuals[j] = static_cast<uint8_t>(pixels[i] - prediction);
-        prediction = pixels[i];
-      }
-      break;
-    }
     case LineCoding::kVerticalDelta:
       PANDORA_CHECK(above != nullptr);
-      for (int i = 0; i < width; ++i) {
-        residuals[i] = static_cast<uint8_t>(pixels[i] - above[i]);
-      }
+      CombineRows(pixels, above, width, residuals, std::minus<>());
       break;
   }
   return size;
@@ -73,18 +162,11 @@ bool DecompressLineInto(const uint8_t* bytes, size_t size, int width, const uint
   const uint8_t* residuals = bytes + 1;
   switch (coding) {
     case LineCoding::kRawLine:
-      for (int i = 0; i < width; ++i) {
-        out[i] = residuals[i];
-      }
+      std::copy(residuals, residuals + std::max(width, 0), out);
       return true;
-    case LineCoding::kDpcmLine: {
-      uint8_t value = 0;
-      for (int i = 0; i < width; ++i) {
-        value = static_cast<uint8_t>(value + residuals[i]);
-        out[i] = value;
-      }
+    case LineCoding::kDpcmLine:
+      PrefixSumRow(residuals, width, out);
       return true;
-    }
     case LineCoding::kSubsampledDpcmLine: {
       // Recover the even pixels, then interpolate odd ones horizontally.
       uint8_t value = 0;
@@ -103,9 +185,7 @@ bool DecompressLineInto(const uint8_t* bytes, size_t size, int width, const uint
       if (above == nullptr) {
         return false;  // interpolation state missing: undecodable
       }
-      for (int i = 0; i < width; ++i) {
-        out[i] = static_cast<uint8_t>(above[i] + residuals[i]);
-      }
+      CombineRows(above, residuals, width, out, std::plus<>());
       return true;
   }
   return false;

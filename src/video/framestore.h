@@ -14,6 +14,7 @@
 #ifndef PANDORA_SRC_VIDEO_FRAMESTORE_H_
 #define PANDORA_SRC_VIDEO_FRAMESTORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,14 +50,49 @@ class MovingBarPattern : public FramePattern {
     return Shade(BarX(frame), x, y);
   }
 
+  // Row form of PixelAt for x, y >= 0 (framestore coordinates): the
+  // gradient, then the bar painted over it.  Shade's wrapped test puts the
+  // bar at [bar_x, bar_x + bar_width) and, one pattern width to the left,
+  // at [bar_x - width, bar_x - width + bar_width).
   void FillRow(uint32_t frame, int x, int y, int width, uint8_t* out) const override {
+    FillGradient((x + y) % 64, width, out);
     const int bar_x = BarX(frame);
-    for (int i = 0; i < width; ++i) {
-      out[i] = Shade(bar_x, x + i, y);
+    for (int bar_start : {bar_x - width_, bar_x}) {
+      const int from = std::max(bar_start, x);
+      const int to = std::min(bar_start + bar_width_, x + width);
+      if (from < to) {
+        std::fill(out + (from - x), out + (to - x), uint8_t{240});
+      }
     }
   }
 
  private:
+  static constexpr int kRowBlock = 16;
+
+  // out[i] = 16 + (first + i) % 64 for i in [0, n): a running 6-bit counter,
+  // in fixed 16-pixel blocks the vectorizer turns into SIMD stores.  A ragged
+  // end re-runs the last full block shifted left (each byte depends only on
+  // its index, so the overlap rewrites equal bytes).
+  static void FillGradient(int first, int n, uint8_t* out) {
+    if (n < kRowBlock) {
+      for (int i = 0; i < n; ++i) {
+        out[i] = static_cast<uint8_t>(16 + ((first + i) & 63));
+      }
+      return;
+    }
+    for (int i = 0;; i += kRowBlock) {
+      if (i > n - kRowBlock) {
+        i = n - kRowBlock;
+      }
+      for (int k = 0; k < kRowBlock; ++k) {
+        out[i + k] = static_cast<uint8_t>(16 + ((first + i + k) & 63));
+      }
+      if (i == n - kRowBlock) {
+        return;
+      }
+    }
+  }
+
   int BarX(uint32_t frame) const { return static_cast<int>(frame) * step_ % width_; }
   uint8_t Shade(int bar_x, int x, int y) const {
     int dx = x - bar_x;

@@ -798,6 +798,147 @@ TEST(ResourceTest, NonInterleavedTransmissionDelaysFollower) {
   EXPECT_GE(audio_done, Millis(20));
 }
 
+TEST(ResourceTest, ZeroHoldOnIdleResourceDoesNotSuspend) {
+  // A reservation that ends now is already complete: the awaiting process
+  // carries on in the same dispatch, with no timer and no context switch.
+  Scheduler sched;
+  CpuModel cpu(&sched, "cpu");
+  BandwidthGate link(&sched, "link", 20'000'000);
+  uint64_t switches_before = 0;
+  uint64_t switches_after = 0;
+  size_t timers_after = 1;
+  auto user = [](Scheduler* s, CpuModel* c, BandwidthGate* l, uint64_t* before, uint64_t* after,
+                 size_t* timers) -> Process {
+    co_await s->WaitFor(Micros(10));
+    *before = s->context_switches();
+    co_await c->Acquire(0);
+    co_await c->Consume(0);
+    co_await l->Transmit(0);
+    *after = s->context_switches();
+    *timers = s->pending_timer_count();
+  };
+  sched.Spawn(user(&sched, &cpu, &link, &switches_before, &switches_after, &timers_after), "u");
+  sched.RunUntilQuiescent();
+  EXPECT_EQ(switches_after, switches_before);
+  EXPECT_EQ(timers_after, 0u);
+  EXPECT_EQ(sched.now(), Micros(10));
+  EXPECT_EQ(cpu.busy_time(), 0);
+  EXPECT_EQ(cpu.max_queue_delay(), 0);
+  EXPECT_EQ(link.next_free(), Micros(10));
+}
+
+// Every `args.value` of the counter track `name` in an exported trace, in
+// recording order.
+std::vector<int64_t> CounterValues(const std::string& json, const std::string& name) {
+  std::vector<int64_t> values;
+  const std::string key = "{\"name\":\"" + name + "\",\"ph\":\"C\"";
+  for (size_t at = json.find(key); at != std::string::npos; at = json.find(key, at + 1)) {
+    const size_t value = json.find("\"value\":", at);
+    values.push_back(std::stoll(json.substr(value + 8)));
+  }
+  return values;
+}
+
+TEST(ResourceTest, QueuedMixedSequenceKeepsItsBookkeeping) {
+  // Two processes at different priorities interleave CPU charges and link
+  // transmissions; the per-reservation queue delays (the `.queue_us`
+  // counter track), the running maxima, busy time and next-free instants
+  // are pinned to the values recorded when each reservation was a Task
+  // coroutine.
+  Scheduler sched;
+  sched.trace()->Enable();
+  CpuModel cpu(&sched, "cpu");
+  BandwidthGate link(&sched, "link", 1'000'000);  // 1 Mbit/s: 8 us per byte
+  struct Rig {
+    Scheduler* sched;
+    CpuModel* cpu;
+    BandwidthGate* link;
+    std::vector<int64_t> seen;
+    void Note() {
+      seen.insert(seen.end(), {sched->now(), cpu->max_queue_delay(), cpu->busy_time(),
+                               cpu->next_free(), link->max_queue_delay(), link->busy_time(),
+                               link->next_free()});
+    }
+  };
+  Rig rig{&sched, &cpu, &link, {}};
+  auto high = [](Rig* r) -> Process {
+    co_await r->cpu->Consume(Micros(100));
+    r->Note();
+    co_await r->link->Transmit(10);
+    r->Note();
+    co_await r->sched->WaitFor(Micros(5));
+    co_await r->cpu->Acquire(Micros(30));
+    r->Note();
+  };
+  auto low = [](Rig* r) -> Process {
+    co_await r->cpu->Consume(Micros(50));
+    r->Note();
+    co_await r->link->Transmit(25);
+    r->Note();
+    co_await r->cpu->Consume(0);
+    r->Note();
+    co_await r->link->Transmit(3);
+    r->Note();
+  };
+  sched.Spawn(low(&rig), "low", Priority::kLow);
+  sched.Spawn(high(&rig), "high", Priority::kHigh);
+  sched.RunUntilQuiescent();
+
+  // Rows: now, cpu {max queue, busy, next free}, link {max queue, busy,
+  // next free}, one row per completed reservation in completion order.
+  const std::vector<int64_t> want = {
+      100, 100, 150, 150, 0,  0,   100,  // high: 100 us CPU, ran first
+      150, 100, 150, 150, 0,  80,  180,  // low: 50 us CPU queued 100 us
+      180, 100, 150, 180, 30, 280, 380,  // high: 10 bytes; low's 25 queue 30 us
+      215, 100, 180, 215, 30, 280, 380,  // high: 30 us CPU after a 5 us nap
+      380, 100, 180, 380, 30, 280, 380,  // low: 25 bytes done
+      380, 100, 180, 380, 30, 280, 380,  // low: zero charge, no wait
+      404, 100, 180, 404, 30, 304, 404,  // low: 3 bytes
+  };
+  EXPECT_EQ(rig.seen, want);
+  const std::string json = sched.trace()->ExportJson();
+  EXPECT_EQ(CounterValues(json, "cpu.queue_us"), (std::vector<int64_t>{0, 100, 0, 0}));
+  EXPECT_EQ(CounterValues(json, "link.queue_us"), (std::vector<int64_t>{0, 30, 0}));
+  EXPECT_EQ(cpu.busy_time(), Micros(180));
+  EXPECT_EQ(link.busy_time(), Micros(304));
+  EXPECT_EQ(cpu.max_queue_delay(), Micros(100));
+  EXPECT_EQ(link.max_queue_delay(), Micros(30));
+}
+
+TEST(ResourceTest, KilledWhileWaitingOnConsumeLeavesTimerHarmless) {
+  // The reservation's wakeup timer pins the victim's slab slot; the kill
+  // destroys the frame, the timer later fires into a finished record and
+  // releases the slot, and nothing resumes the destroyed frame.
+  Scheduler sched;
+  CpuModel cpu(&sched, "cpu");
+  bool resumed = false;
+  auto victim = [](CpuModel* c, bool* resumed) -> Process {
+    co_await c->Consume(Micros(100));
+    *resumed = true;
+  };
+  sched.Spawn(victim(&cpu, &resumed), "victim");
+  sched.RunFor(Micros(10));
+  ASSERT_EQ(sched.pending_timer_count(), 1u);
+  EXPECT_EQ(sched.KillProcesses([](const ProcessCtx& ctx) { return ctx.name == "victim"; }), 1u);
+  EXPECT_EQ(sched.live_process_count(), 0u);
+  EXPECT_EQ(sched.tracked_process_count(), 1u);  // held by the pending wakeup
+  sched.RunUntilQuiescent();
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(sched.now(), Micros(100));
+  EXPECT_EQ(sched.pending_timer_count(), 0u);
+  EXPECT_EQ(sched.tracked_process_count(), 0u);
+  // The booked CPU time stays booked: a later charge queues behind it.
+  EXPECT_EQ(cpu.busy_time(), Micros(100));
+  Time done = -1;
+  auto next = [](Scheduler* s, CpuModel* c, Time* done) -> Process {
+    co_await c->Consume(Micros(7));
+    *done = s->now();
+  };
+  sched.Spawn(next(&sched, &cpu, &done), "next");
+  sched.RunUntilQuiescent();
+  EXPECT_EQ(done, Micros(107));
+}
+
 TEST(RandomTest, DeterministicAcrossRuns) {
   Rng a(123);
   Rng b(123);

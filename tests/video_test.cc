@@ -3,6 +3,7 @@
 // fractional frame rates, and tear-free display (paper sections 3.3, 3.6).
 #include <algorithm>
 #include <numeric>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +117,161 @@ TEST(DpcmTest, IntoCodecsMatchTheWrappers) {
   }
 }
 
+// Scalar reference codecs: the line loops as first written, one pixel at a
+// time with an explicit predictor.  The production kernels in
+// src/video/dpcm.cc are restructured for the vectorizer and must stay
+// byte-for-byte equal to these.
+void ReferenceCompress(LineCoding coding, const uint8_t* pixels, int width, const uint8_t* above,
+                       uint8_t* out) {
+  out[0] = static_cast<uint8_t>(coding);
+  uint8_t* residuals = out + 1;
+  switch (coding) {
+    case LineCoding::kRawLine:
+      for (int i = 0; i < width; ++i) {
+        residuals[i] = pixels[i];
+      }
+      break;
+    case LineCoding::kDpcmLine: {
+      uint8_t prediction = 0;
+      for (int i = 0; i < width; ++i) {
+        residuals[i] = static_cast<uint8_t>(pixels[i] - prediction);
+        prediction = pixels[i];
+      }
+      break;
+    }
+    case LineCoding::kSubsampledDpcmLine: {
+      uint8_t prediction = 0;
+      for (int i = 0, j = 0; i < width; i += 2, ++j) {
+        residuals[j] = static_cast<uint8_t>(pixels[i] - prediction);
+        prediction = pixels[i];
+      }
+      break;
+    }
+    case LineCoding::kVerticalDelta:
+      for (int i = 0; i < width; ++i) {
+        residuals[i] = static_cast<uint8_t>(pixels[i] - above[i]);
+      }
+      break;
+  }
+}
+
+bool ReferenceDecompress(const uint8_t* bytes, size_t size, int width, const uint8_t* above,
+                         uint8_t* out) {
+  if (size == 0) {
+    return false;
+  }
+  LineCoding coding = static_cast<LineCoding>(bytes[0]);
+  if (size != CompressedLineSize(coding, width)) {
+    return false;
+  }
+  const uint8_t* residuals = bytes + 1;
+  switch (coding) {
+    case LineCoding::kRawLine:
+      for (int i = 0; i < width; ++i) {
+        out[i] = residuals[i];
+      }
+      return true;
+    case LineCoding::kDpcmLine: {
+      uint8_t value = 0;
+      for (int i = 0; i < width; ++i) {
+        value = static_cast<uint8_t>(value + residuals[i]);
+        out[i] = value;
+      }
+      return true;
+    }
+    case LineCoding::kSubsampledDpcmLine: {
+      uint8_t value = 0;
+      for (int i = 0, j = 0; i < width; i += 2, ++j) {
+        value = static_cast<uint8_t>(value + residuals[j]);
+        out[i] = value;
+      }
+      for (int i = 1; i < width; i += 2) {
+        int left = out[i - 1];
+        int right = (i + 1 < width) ? out[i + 1] : left;
+        out[i] = static_cast<uint8_t>((left + right) / 2);
+      }
+      return true;
+    }
+    case LineCoding::kVerticalDelta:
+      if (above == nullptr) {
+        return false;
+      }
+      for (int i = 0; i < width; ++i) {
+        out[i] = static_cast<uint8_t>(above[i] + residuals[i]);
+      }
+      return true;
+  }
+  return false;
+}
+
+TEST(DpcmTest, KernelsMatchScalarReference) {
+  constexpr int kMaxWidth = 300;
+  constexpr int kTrialsPerWidth = 100;
+  constexpr size_t kGuard = 16;
+  constexpr uint8_t kFill = 0xEE;
+  std::mt19937 gen(20260917);
+  auto random_bytes = [&gen](std::vector<uint8_t>* v, size_t n) {
+    v->resize(n);
+    for (uint8_t& b : *v) {
+      b = static_cast<uint8_t>(gen());
+    }
+  };
+  std::vector<uint8_t> pixels;
+  std::vector<uint8_t> above;
+  std::vector<uint8_t> coded;
+  std::vector<uint8_t> want;
+  std::vector<uint8_t> got;
+  for (LineCoding coding : {LineCoding::kRawLine, LineCoding::kDpcmLine,
+                            LineCoding::kSubsampledDpcmLine, LineCoding::kVerticalDelta}) {
+    for (int width = 0; width <= kMaxWidth; ++width) {
+      const size_t size = CompressedLineSize(coding, width);
+      const size_t pixel_bytes = static_cast<size_t>(width);
+      for (int trial = 0; trial < kTrialsPerWidth; ++trial) {
+        // Compress: random pixels and a random line above; the guard bytes
+        // past the coded line must come through untouched.
+        random_bytes(&pixels, pixel_bytes);
+        random_bytes(&above, pixel_bytes);
+        want.assign(size + kGuard, kFill);
+        got.assign(size + kGuard, kFill);
+        ReferenceCompress(coding, pixels.data(), width, above.data(), want.data());
+        ASSERT_EQ(CompressLineInto(coding, pixels.data(), width, above.data(), got.data()), size);
+        ASSERT_EQ(got, want) << "compress coding " << static_cast<int>(coding) << " width "
+                             << width << " trial " << trial;
+
+        // Decompress: random residuals behind the coding byte, decoded with
+        // and without the line above, at the right size and at sizes the
+        // decoder must reject without writing.
+        random_bytes(&coded, size);
+        coded[0] = static_cast<uint8_t>(coding);
+        const size_t sizes[] = {size, size - 1, size + 1, 0};
+        for (size_t coded_size : sizes) {
+          coded.resize(std::max(coded.size(), coded_size), 0);
+          for (const uint8_t* reference :
+               {static_cast<const uint8_t*>(above.data()), static_cast<const uint8_t*>(nullptr)}) {
+            want.assign(pixel_bytes + kGuard, kFill);
+            got.assign(pixel_bytes + kGuard, kFill);
+            const bool want_ok =
+                ReferenceDecompress(coded.data(), coded_size, width, reference, want.data());
+            const bool got_ok =
+                DecompressLineInto(coded.data(), coded_size, width, reference, got.data());
+            ASSERT_EQ(got_ok, want_ok) << "decompress coding " << static_cast<int>(coding)
+                                       << " width " << width << " size " << coded_size;
+            ASSERT_EQ(got, want) << "decompress coding " << static_cast<int>(coding)
+                                 << " width " << width << " size " << coded_size << " trial "
+                                 << trial;
+          }
+        }
+      }
+    }
+  }
+  // An unknown coding byte is rejected at every size.
+  random_bytes(&coded, 65);
+  coded[0] = 4;
+  got.assign(64, kFill);
+  EXPECT_FALSE(DecompressLineInto(coded.data(), coded.size(), 64, nullptr, got.data()));
+  EXPECT_EQ(got, std::vector<uint8_t>(64, kFill));
+}
+
 TEST(LastLineCacheTest, PointerStoreReusesTheCachedLine) {
   LastLineCache cache;
   const std::vector<uint8_t> wide = SmoothLine(16);
@@ -166,18 +322,35 @@ TEST(FrameStoreTest, ImmediateReadTearsWhenScanInsideRows) {
 }
 
 TEST(FrameStoreTest, FillRowMatchesPixelAt) {
-  // The 8-pixel bar moves 4 pixels a frame across 64: frames 14-17 carry it
-  // over the right edge and back in at x = 0.
-  MovingBarPattern pattern(64);
-  for (uint32_t frame : {0u, 1u, 14u, 15u, 16u, 17u, 1000u}) {
-    for (int x : {0, 3, 40, 57}) {
-      for (int y : {0, 5, 47}) {
-        const int width = 64 - x;
-        std::vector<uint8_t> row(static_cast<size_t>(width));
-        pattern.FillRow(frame, x, y, width, row.data());
-        for (int i = 0; i < width; ++i) {
-          ASSERT_EQ(row[static_cast<size_t>(i)], pattern.PixelAt(frame, x + i, y))
-              << "frame " << frame << " x " << x + i << " y " << y;
+  // The default 8-pixel bar moves 4 pixels a frame across 64: frames 14-17
+  // carry it over the right edge and back in at x = 0.  The other patterns
+  // cover widths that are not a multiple of the 64-level gradient, bars
+  // wider than the step (and than the pattern), single-pixel bars and no bar.
+  struct Case {
+    int pattern_width;
+    int bar_width;
+    int step;
+  };
+  for (const Case& c : {Case{64, 8, 4}, Case{37, 8, 4}, Case{100, 20, 3}, Case{352, 16, 7},
+                        Case{64, 1, 5}, Case{48, 80, 5}, Case{200, 0, 9}}) {
+    const MovingBarPattern pattern(c.pattern_width, c.bar_width, c.step);
+    for (uint32_t frame : {0u, 1u, 14u, 15u, 16u, 17u, 33u, 1000u}) {
+      for (int x : {0, 3, 40, 57, c.pattern_width - 1}) {
+        for (int y : {0, 5, 47, 130}) {
+          // Rows running to the right edge and rows stopping short of it.
+          for (int width : {c.pattern_width - x, (c.pattern_width - x) / 2, 1, 0}) {
+            if (x >= c.pattern_width || width < 0) {
+              continue;
+            }
+            std::vector<uint8_t> row(static_cast<size_t>(width) + 1, 0xEE);
+            pattern.FillRow(frame, x, y, width, row.data());
+            for (int i = 0; i < width; ++i) {
+              ASSERT_EQ(row[static_cast<size_t>(i)], pattern.PixelAt(frame, x + i, y))
+                  << "pattern " << c.pattern_width << "/" << c.bar_width << "/" << c.step
+                  << " frame " << frame << " x " << x + i << " y " << y << " width " << width;
+            }
+            EXPECT_EQ(row.back(), 0xEE) << "FillRow wrote past its width";
+          }
         }
       }
     }

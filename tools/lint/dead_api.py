@@ -26,8 +26,14 @@ function shares its fate with every same-named function or variable; that
 errs towards silence, never towards a false report.  The only allowlist is
 the coroutine protocol: the compiler calls those hooks by name.
 
+--test-only prints the next audit list instead and always exits 0: header
+functions whose every reference sits outside src/ (in tests/, bench/,
+worldbench/ or examples/).  Those are wrappers and shims the product no
+longer uses; each is a deletion candidate once its outside callers move to
+the function the product does use.
+
 Usage:
-  tools/lint/dead_api.py [--root DIR] [--self-test]
+  tools/lint/dead_api.py [--root DIR] [--test-only] [--self-test]
 """
 
 import argparse
@@ -136,21 +142,22 @@ def candidates(units):
     return found
 
 
-def referenced(units, names):
-    """Subset of `names` with at least one occurrence that is not a
-    declaration or definition site."""
-    hit = set()
+def reference_trees(units, names):
+    """{name: set of top-level trees} holding an occurrence of each name in
+    `names` that is not a declaration or definition site."""
+    where = {}
     for unit in units:
+        tree = unit.relpath.split("/", 1)[0]
         code = unit.code
         for m in NAME_RE.finditer(unit.full):
             name = m.group(0)
-            if name not in names or name in hit:
+            if name not in names or tree in where.get(name, ()):
                 continue
             site = CALL_SHAPE_RE.match(code, m.start())
             if site and site.group(1) == name and _is_signature_site(unit, site):
                 continue
-            hit.add(name)
-    return hit
+            where.setdefault(name, set()).add(tree)
+    return where
 
 
 def load_units(root, trees=SCAN_TREES):
@@ -161,34 +168,45 @@ def load_units(root, trees=SCAN_TREES):
     return units
 
 
-def dead_functions(units):
-    """Sorted [(relpath, line, name)]: every header declaration of a name
-    that nothing references."""
+def audit(units):
+    """(dead, test_only): sorted [(relpath, line, name, trees)] of every
+    header declaration of a name nothing references (trees empty), and of a
+    name referenced only outside src/ (trees: the sorted trees that do)."""
     found = candidates(units)
-    live = referenced(units, set(found))
-    return sorted((path, line, name) for name, sites in found.items() if name not in live
-                  for path, line in sites)
+    where = reference_trees(units, set(found))
+    dead, test_only = [], []
+    for name, sites in found.items():
+        trees = tuple(sorted(where.get(name, ())))
+        if "src" in trees:
+            continue
+        (test_only if trees else dead).extend((path, line, name, trees) for path, line in sites)
+    return sorted(dead), sorted(test_only)
 
 
-EXPECT_DEAD_RE = re.compile(r"//\s*EXPECT-DEAD\b")
+EXPECT_RE = re.compile(r"//\s*EXPECT-(DEAD|TEST-ONLY)\b")
 
 
 def run_self_test(testdata):
     """The fixture tree under testdata/dead_api/ must report exactly the
-    declarations marked `// EXPECT-DEAD` (on the name's line)."""
+    declarations marked `// EXPECT-DEAD` as dead and exactly those marked
+    `// EXPECT-TEST-ONLY` as test-only (on the name's line)."""
     units = load_units(testdata)
-    expected = set()
+    expected = {"DEAD": set(), "TEST-ONLY": set()}
     for relpath, full in iter_source_files(testdata, SCAN_TREES):
         with open(full, encoding="utf-8") as fh:
             for i, line in enumerate(fh.read().split("\n"), 1):
-                if EXPECT_DEAD_RE.search(line):
-                    expected.add((relpath, i))
-    got = {(path, line): name for path, line, name in dead_functions(units)}
+                m = EXPECT_RE.search(line)
+                if m:
+                    expected[m.group(1)].add((relpath, i))
+    dead, test_only = audit(units)
     failures = []
-    for key in sorted(expected - set(got)):
-        failures.append(f"{key[0]}:{key[1]}: expected a dead function, got none")
-    for key in sorted(set(got) - expected):
-        failures.append(f"{key[0]}:{key[1]}: unexpected dead function `{got[key]}`")
+    for kind, found in (("DEAD", dead), ("TEST-ONLY", test_only)):
+        got = {(path, line): name for path, line, name, _ in found}
+        label = kind.lower()
+        for key in sorted(expected[kind] - set(got)):
+            failures.append(f"{key[0]}:{key[1]}: expected a {label} function, got none")
+        for key in sorted(set(got) - expected[kind]):
+            failures.append(f"{key[0]}:{key[1]}: unexpected {label} function `{got[key]}`")
     return failures, len(units)
 
 
@@ -196,6 +214,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=None,
                         help="repository root (default: two levels up from this script)")
+    parser.add_argument("--test-only", action="store_true",
+                        help="report functions referenced only outside src/ (always exits 0)")
     parser.add_argument("--self-test", action="store_true",
                         help="check the fixtures in testdata/dead_api/")
     args = parser.parse_args(argv)
@@ -214,8 +234,15 @@ def main(argv=None):
         return 0
 
     units = load_units(root)
-    dead = dead_functions(units)
-    for path, line, name in dead:
+    dead, test_only = audit(units)
+    if args.test_only:
+        for path, line, name, trees in test_only:
+            callers = ", ".join(t + "/" for t in trees)
+            print(f"{path}:{line}: [test-only] `{name}` is called only from {callers}")
+        print(f"dead_api --test-only: {len(test_only)} header declaration(s) called only "
+              f"outside src/ in {len(units)} files (report only)")
+        return 0
+    for path, line, name, _ in dead:
         print(f"{path}:{line}: [dead-api] `{name}` is declared here but nothing "
               "calls it; delete it or give it a caller")
     if dead:

@@ -5,7 +5,7 @@ namespace fixture {
 void NoteEvent(int id) { (void)id; }
 
 void Widget::Accept(int value) {
-  total_ += value;
+  total_ += value + Half();
   FIXTURE_NOTE(value);
 }
 

@@ -1,6 +1,7 @@
-// dead_api fixture: a header whose functions cover the live and dead shapes
-// the audit must tell apart.  Lines marked EXPECT-DEAD must be reported;
-// every other declaration must not.
+// dead_api fixture: a header whose functions cover the live, dead and
+// test-only shapes the audit must tell apart.  Lines marked EXPECT-DEAD must
+// be reported as dead, lines marked EXPECT-TEST-ONLY as called only from
+// outside src/ (tests/, bench/); every other declaration must not.
 #ifndef FIXTURE_SRC_WIDGET_WIDGET_H_
 #define FIXTURE_SRC_WIDGET_WIDGET_H_
 
@@ -25,8 +26,9 @@ inline constexpr std::array<int, 4> kTable = BuildTable();
 class Sink {
  public:
   virtual ~Sink() = default;
-  // Called through the base; the override's declaration is not a call.
-  virtual void Accept(int value) = 0;
+  // Called through the base; the override's declaration is not a call.  The
+  // only call is in tests/.
+  virtual void Accept(int value) = 0;  // EXPECT-TEST-ONLY
 };
 
 class Widget : public Sink {
@@ -34,8 +36,12 @@ class Widget : public Sink {
   Widget() = default;
   ~Widget() override = default;
 
-  void Accept(int value) override;
-  int Total() const { return Scale(total_); }  // calls Scale
+  void Accept(int value) override;              // EXPECT-TEST-ONLY
+  int Total() const { return Scale(total_); }  // EXPECT-TEST-ONLY (calls Scale)
+  // Called from bench/ only.
+  int Peak() const { return total_; }  // EXPECT-TEST-ONLY
+  // Called from tests/ and from src/: live.
+  int Half() const { return total_ / 2; }
   uint64_t dropped() const { return dropped_; }  // EXPECT-DEAD
   void Reset();                                  // EXPECT-DEAD
 

@@ -4,7 +4,7 @@ namespace fixture {
 
 int Drive(Sink* sink, Widget& widget) {
   sink->Accept(kTable[0]);
-  return widget.Total();
+  return widget.Total() + widget.Half();
 }
 
 }  // namespace fixture
