@@ -17,9 +17,10 @@
 // compiles tests/vectorize_check.cc with -fopt-info-vec-optimized and fails
 // if the vector report for the two arithmetic passes disappears.
 //
-// The companding tables are computed at compile time from the same G.711
-// algorithm as src/audio/ulaw.cc; audio_test.cc proves both directions
-// equivalent over the full input domain (256 decode, 65536 encode inputs).
+// The companding tables are computed at compile time from the constexpr
+// codec in src/audio/ulaw.h, so the mixer and every other µ-law user share
+// one codec; audio_test.cc checks both tables against a reference G.711
+// loop over the full input domain (256 decode, 65536 encode inputs).
 #ifndef PANDORA_SRC_AUDIO_MIX_KERNELS_H_
 #define PANDORA_SRC_AUDIO_MIX_KERNELS_H_
 
@@ -27,45 +28,16 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/audio/ulaw.h"
+
 namespace pandora {
 
 namespace mix_internal {
 
-inline constexpr int kBias = 0x84;  // must match src/audio/ulaw.cc
-inline constexpr int kClip = 32635;
-
-constexpr int16_t DecodeOne(uint8_t ulaw) {
-  const int value = ~ulaw & 0xFF;
-  const int sign = value & 0x80;
-  const int exponent = (value >> 4) & 0x07;
-  const int mantissa = value & 0x0F;
-  int sample = ((mantissa << 3) + kBias) << exponent;
-  sample -= kBias;
-  return static_cast<int16_t>(sign != 0 ? -sample : sample);
-}
-
-constexpr uint8_t EncodeOne(int16_t linear) {
-  int sample = linear;
-  const int sign = (sample >> 8) & 0x80;
-  if (sign != 0) {
-    sample = -sample;
-  }
-  if (sample > kClip) {
-    sample = kClip;
-  }
-  sample += kBias;
-  int exponent = 7;
-  for (int mask = 0x4000; (sample & mask) == 0 && exponent > 0; mask >>= 1) {
-    --exponent;
-  }
-  const int mantissa = (sample >> (exponent + 3)) & 0x0F;
-  return static_cast<uint8_t>(~(sign | (exponent << 4) | mantissa));
-}
-
 constexpr std::array<int16_t, 256> BuildDecodeTable() {
   std::array<int16_t, 256> table{};
   for (int i = 0; i < 256; ++i) {
-    table[static_cast<size_t>(i)] = DecodeOne(static_cast<uint8_t>(i));
+    table[static_cast<size_t>(i)] = ULawDecode(static_cast<uint8_t>(i));
   }
   return table;
 }
@@ -75,7 +47,7 @@ constexpr std::array<uint8_t, 65536> BuildEncodeTable() {
   for (int i = 0; i < 65536; ++i) {
     // Index by the sample's uint16 bit pattern so a cast is the only
     // arithmetic on the lookup path.
-    table[static_cast<size_t>(i)] = EncodeOne(static_cast<int16_t>(static_cast<uint16_t>(i)));
+    table[static_cast<size_t>(i)] = ULawEncode(static_cast<int16_t>(static_cast<uint16_t>(i)));
   }
   return table;
 }
@@ -86,7 +58,7 @@ constexpr std::array<uint8_t, 65536> BuildEncodeTable() {
 inline constexpr std::array<int16_t, 256> kULawDecodeTable = mix_internal::BuildDecodeTable();
 
 // 64 KiB linear -> µ-law table, indexed by the int16 bit pattern.  Replaces
-// the per-sample exponent-search loop of ULawEncode with one load.
+// the per-sample exponent computation of ULawEncode with one load.
 inline constexpr std::array<uint8_t, 65536> kULawEncodeTable = mix_internal::BuildEncodeTable();
 
 // Pass 1: µ-law bytes -> linear samples (table gather).

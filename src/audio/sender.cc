@@ -56,20 +56,6 @@ void AudioSender::HandleCommand(const Command& command) {
   }
 }
 
-Task<void> AudioSender::EmitSegment() {
-  if (cpu_ != nullptr) {
-    co_await cpu_->Consume(options_.costs.segment_handling + options_.costs.outgoing_stream);
-  }
-  // Obtaining the buffer can park us when the pool is starved — the paper's
-  // deliberate back-pressure path.
-  SegmentRef ref = co_await pool_->Allocate();
-  FillAudioSegment(ref.get(), options_.stream, sequence_++, pending_start_, pending_.data(),
-                   pending_.size());
-  pending_.clear();
-  ++segments_sent_;
-  co_await segments_out_->Send(std::move(ref));
-}
-
 Process AudioSender::Run() {
   for (;;) {
     Alt alt(sched_);
@@ -93,10 +79,22 @@ Process AudioSender::Run() {
     }
     pending_.insert(pending_.end(), block.samples.begin(), block.samples.end());
     ++blocks_consumed_;
-    if (pending_.size() >=
+    if (pending_.size() <
         static_cast<size_t>(blocks_per_segment_) * static_cast<size_t>(kAudioBlockBytes)) {
-      co_await EmitSegment();
+      continue;
     }
+    // Enough blocks to justify a segment header: emit one.
+    if (cpu_ != nullptr) {
+      co_await cpu_->Consume(options_.costs.segment_handling + options_.costs.outgoing_stream);
+    }
+    // Obtaining the buffer can park us when the pool is starved — the
+    // paper's deliberate back-pressure path.
+    SegmentRef ref = co_await pool_->Allocate();
+    FillAudioSegment(ref.get(), options_.stream, sequence_++, pending_start_, pending_.data(),
+                     pending_.size());
+    pending_.clear();
+    ++segments_sent_;
+    co_await segments_out_->Send(std::move(ref));
   }
 }
 

@@ -52,8 +52,9 @@ class AudioSender {
   int blocks_per_segment() const { return blocks_per_segment_; }
 
  private:
+  // Gathers codec blocks and emits each full segment inline: a segment
+  // costs no coroutine frame.
   Process Run();
-  Task<void> EmitSegment();
   void HandleCommand(const Command& command);
 
   Scheduler* sched_;

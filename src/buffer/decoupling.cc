@@ -39,14 +39,15 @@ Process DecouplingBuffer::SenderProc() {
   }
 }
 
-Task<void> DecouplingBuffer::MaybeSendDeferredReady() {
+bool DecouplingBuffer::SettleDeferredReady() {
   if (owe_ready_ && queue_.size() < capacity_) {
     owe_ready_ = false;
-    co_await ready_.Send(true);
+    return true;
   }
+  return false;
 }
 
-Task<void> DecouplingBuffer::HandleCommand(const Command& command) {
+void DecouplingBuffer::HandleCommand(const Command& command) {
   switch (command.verb) {
     case CommandVerb::kReportStatus: {
       std::ostringstream text;
@@ -59,9 +60,9 @@ Task<void> DecouplingBuffer::HandleCommand(const Command& command) {
     case CommandVerb::kResizeBuffer: {
       // "It is also possible to specify a new buffer size dynamically, and
       // the buffer will adjust to this size without any loss of data."  A
-      // shrink below the present depth simply pauses intake until drained.
+      // shrink below the present depth simply pauses intake until drained;
+      // a grow can settle a deferred TRUE (CoreProc sends it).
       capacity_ = static_cast<size_t>(command.arg0 > 0 ? command.arg0 : 1);
-      co_await MaybeSendDeferredReady();
       break;
     }
     default:
@@ -100,7 +101,10 @@ Process DecouplingBuffer::CoreProc() {
     int chosen = co_await alt.Select();
     if (chosen == 0) {
       Command command = co_await command_.Receive();
-      co_await HandleCommand(command);
+      HandleCommand(command);
+      if (command.verb == CommandVerb::kResizeBuffer && SettleDeferredReady()) {
+        co_await ready_.Send(true);
+      }
     } else if (chosen == 1) {
       (void)co_await idle_.Receive();
       sender_idle_ = true;
@@ -112,9 +116,13 @@ Process DecouplingBuffer::CoreProc() {
                             static_cast<int64_t>(queue_.size()));
       sender_idle_ = false;
       co_await dispatch_.Send(std::move(item));  // sender is parked: instant
-      co_await MaybeSendDeferredReady();
+      if (SettleDeferredReady()) {
+        co_await ready_.Send(true);
+      }
     } else if (chosen == owed_guard) {
-      co_await MaybeSendDeferredReady();
+      if (SettleDeferredReady()) {
+        co_await ready_.Send(true);
+      }
     } else if (chosen == input_guard) {
       SegmentRef item = co_await input_.Receive();
       queue_.push_back(std::move(item));

@@ -19,8 +19,10 @@
 #ifndef PANDORA_SRC_BUFFER_DECOUPLING_H_
 #define PANDORA_SRC_BUFFER_DECOUPLING_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/buffer/pool.h"
 #include "src/buffer/ring_queue.h"
@@ -93,8 +95,10 @@ class DecouplingBuffer {
  private:
   Process CoreProc();
   Process SenderProc();
-  Task<void> HandleCommand(const Command& command);
-  Task<void> MaybeSendDeferredReady();
+  void HandleCommand(const Command& command);
+  // True when a FALSE reply's deferred TRUE is due (a slot is free again);
+  // settles the debt, and the caller sends the TRUE on ready_.
+  bool SettleDeferredReady();
 
   Scheduler* sched_;
   std::string options_name_;
@@ -132,19 +136,21 @@ class ReadySender {
   // True when the last reply said the buffer has room.
   bool can_send() const { return can_send_; }
 
-  // Sends one segment and consumes the immediate reply.  Only valid when
-  // can_send() — callers drop instead of calling this otherwise.
-  Task<void> Send(SegmentRef ref) {
-    co_await input_->Send(std::move(ref));
-    can_send_ = co_await ready_->Receive();
-    ++sent_;
+  // Sends one segment.  Only valid when can_send() — callers drop instead
+  // of calling this otherwise.  The buffer replies at once, so every Send is
+  // followed by co_await ConsumeReadySignal(), which takes that reply.
+  auto Send(SegmentRef ref) {
+    awaiting_reply_ = true;
+    return input_->Send(std::move(ref));
   }
 
   // The channel to include in the producer's alternation while blocked.
   Channel<bool>& ready_channel() { return *ready_; }
 
-  // After the alternation selects the ready channel: take the signal.
-  Task<void> ConsumeReadySignal() { can_send_ = co_await ready_->Receive(); }
+  // Takes the next signal on the ready channel: the reply to a Send, or a
+  // deferred TRUE after the alternation selected the ready channel.  A
+  // plain awaiter over the channel's receive, so a signal costs no frame.
+  auto ConsumeReadySignal() { return SignalAwaiter{this, ready_->Receive()}; }
 
   // Drains any deferred TRUE without blocking (for poll-style producers).
   void Poll() {
@@ -158,9 +164,24 @@ class ReadySender {
   uint64_t sent() const { return sent_; }
 
  private:
+  struct SignalAwaiter {
+    ReadySender* sender;
+    Channel<bool>::RecvAwaiter recv;
+
+    bool await_ready() { return recv.await_ready(); }
+    void await_suspend(std::coroutine_handle<> h) { recv.await_suspend(h); }
+    void await_resume() {
+      sender->can_send_ = recv.await_resume();
+      if (std::exchange(sender->awaiting_reply_, false)) {
+        ++sender->sent_;
+      }
+    }
+  };
+
   Channel<SegmentRef>* input_;
   Channel<bool>* ready_;
   bool can_send_ = true;
+  bool awaiting_reply_ = false;  // a Send's reply has not been taken yet
   uint64_t drops_ = 0;
   uint64_t sent_ = 0;
 };

@@ -22,6 +22,11 @@
 // AddressSanitizer the pool degrades to a passthrough: recycling would
 // defeat ASan's use-after-free quarantine and report the retained free
 // lists as leaks.
+//
+// `allocations()` counts every frame this thread asked for (pooled, huge
+// or passthrough): a per-thread tally that tests pin as exact work per
+// delivered segment, since a frame per operation is the cost the hot path
+// avoids (DESIGN.md §10.6).
 #ifndef PANDORA_SRC_BUFFER_FRAME_POOL_H_
 #define PANDORA_SRC_BUFFER_FRAME_POOL_H_
 
@@ -47,6 +52,7 @@ namespace pandora {
 class FramePool {
  public:
   static void* Allocate(std::size_t n) {
+    ++AllocationCount();
 #if PANDORA_FRAME_POOL_PASSTHROUGH
     return ::operator new(n);
 #else
@@ -91,6 +97,9 @@ class FramePool {
 #endif
   }
 
+  // Frames allocated on the calling thread since it started.
+  static std::uint64_t allocations() { return AllocationCount(); }
+
  private:
   // 64 classes x 64-byte granule covers frames up to 4 KiB; every coroutine
   // in the codebase measures well under that (a Process frame is a few
@@ -118,6 +127,11 @@ class FramePool {
     // protocol hands shards between threads with full happens-before.
     PANDORA_SHARD_LOCAL static thread_local FreeNode* heads[kNumClasses] = {};
     return heads[cls];
+  }
+
+  static std::uint64_t& AllocationCount() {
+    PANDORA_SHARD_LOCAL static thread_local std::uint64_t count = 0;
+    return count;
   }
 };
 

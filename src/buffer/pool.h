@@ -26,6 +26,7 @@
 #ifndef PANDORA_SRC_BUFFER_POOL_H_
 #define PANDORA_SRC_BUFFER_POOL_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -36,7 +37,6 @@
 #include "src/runtime/channel.h"
 #include "src/runtime/check.h"
 #include "src/runtime/scheduler.h"
-#include "src/runtime/task.h"
 #include "src/segment/segment.h"
 
 namespace pandora {
@@ -131,26 +131,9 @@ class RefPool {
 
   // Obtains an empty buffer, parking the caller while the pool is starved
   // (the allocator "will not listen for any requests").  Starvation is
-  // reported as the serious fault it is.
-  Task<PoolRef<T>> Allocate() {
-    if (!free_.empty()) {
-      int32_t index = free_.back();
-      free_.pop_back();
-      if (free_.size() < min_free_seen_) {
-        min_free_seen_ = free_.size();
-      }
-      co_return MakeRef(index);
-    }
-    ++starvation_events_;
-    min_free_seen_ = 0;
-    reporter_.Report("allocator.starved", ReportSeverity::kError,
-                     "no buffers available; requester descheduled");
-    // Park until DecRef hands a freed buffer straight to us.  The slot's
-    // reference count is already set to 1 by the handoff path.
-    int32_t index = co_await handoff_.Receive();
-    ++allocations_;
-    co_return PoolRef<T>(this, index);
-  }
+  // reported as the serious fault it is.  A plain awaiter: the free-list
+  // fast path completes without suspending, and neither path costs a frame.
+  [[nodiscard]] auto Allocate() { return AllocateAwaiter{this, std::nullopt, handoff_.Receive()}; }
 
   // Non-blocking variant for callers that would rather drop than wait.
   std::optional<PoolRef<T>> TryAllocate() {
@@ -220,6 +203,44 @@ class RefPool {
     T value;
     int refs = 0;
   };
+
+  struct AllocateAwaiter {
+    RefPool* pool;
+    // Fast path only: await_ready and await_resume run on the same object
+    // when no suspension intervenes (the Channel::RecvAwaiter rule).
+    std::optional<PoolRef<T>> immediate;
+    // Slow path: park until DecRef hands a freed buffer straight to us.  The
+    // slot's reference count is already set to 1 by the handoff path.
+    typename Channel<int32_t>::RecvAwaiter handoff;
+
+    bool await_ready() {
+      immediate = pool->TryAllocate();
+      if (immediate.has_value()) {
+        return true;
+      }
+      pool->OnStarved();
+      return handoff.await_ready();
+    }
+    void await_suspend(std::coroutine_handle<> h) { handoff.await_suspend(h); }
+    PoolRef<T> await_resume() {
+      if (immediate.has_value()) {
+        return std::move(*immediate);
+      }
+      return pool->AdoptHandoff(handoff.await_resume());
+    }
+  };
+
+  void OnStarved() {
+    ++starvation_events_;
+    min_free_seen_ = 0;
+    reporter_.Report("allocator.starved", ReportSeverity::kError,
+                     "no buffers available; requester descheduled");
+  }
+
+  PoolRef<T> AdoptHandoff(int32_t index) {
+    ++allocations_;
+    return PoolRef<T>(this, index);
+  }
 
   PoolRef<T> MakeRef(int32_t index) {
     Slot& slot = SlotAt(index);

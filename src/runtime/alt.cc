@@ -25,47 +25,46 @@ int Alt::ScanReady() const {
   return -1;
 }
 
-void Alt::SuspendOp::await_suspend(std::coroutine_handle<> h) {
-  Scheduler* sched = alt->sched_;
-  ProcessCtx* ctx = sched->current();
-  ctx->resume_point = h;
-  alt->waiting_ctx_ = ctx;
-  alt->notified_ = false;
-
+void Alt::Park(ProcessCtx* ctx) {
+  ctx->parked_alt = this;
+  waiting_ctx_ = ctx;
+  notified_ = false;
   Time earliest = kNever;
-  for (const Guard& guard : alt->guards_) {
+  for (const Guard& guard : guards_) {
     if (guard.kind == Guard::kChannel) {
-      guard.channel->RegisterAltWaiter(alt);
+      guard.channel->RegisterAltWaiter(this);
     } else if (guard.kind == Guard::kTimeout) {
       earliest = std::min(earliest, guard.deadline);
     }
   }
   if (earliest != kNever) {
-    alt->timeout_timer_ = sched->AddTimer(earliest, [alt = alt] { alt->NotifyFromChannel(); });
+    timeout_timer_ = sched_->AddTimer(earliest, [alt = this] { alt->NotifyFromChannel(); });
   }
 }
 
-void Alt::SuspendOp::await_resume() {
-  for (const Guard& guard : alt->guards_) {
+void Alt::Withdraw() {
+  for (const Guard& guard : guards_) {
     if (guard.kind == Guard::kChannel) {
-      guard.channel->UnregisterAltWaiter(alt);
+      guard.channel->UnregisterAltWaiter(this);
     }
   }
-  alt->timeout_timer_.Cancel();
-  alt->waiting_ctx_ = nullptr;
+  timeout_timer_.Cancel();
 }
 
-Task<int> Alt::Select() {
-  for (;;) {
-    int ready = ScanReady();
-    if (ready >= 0) {
-      co_return ready;
-    }
-    // Park until a sender arrives on some guard channel or a timeout guard
-    // expires.  A lost race (another receiver took the data first) simply
-    // loops and parks again.
-    co_await SuspendOp{this};
+bool Alt::Unpark() {
+  ProcessCtx* ctx = waiting_ctx_;
+  Withdraw();
+  chosen_ = ScanReady();
+  if (chosen_ >= 0) {
+    ctx->parked_alt = nullptr;
+    waiting_ctx_ = nullptr;
+    return true;
   }
+  // Lost race: another receiver took the data first.  Re-park exactly as a
+  // fresh Select would (unregister, cancel, register, arm): channel waiter
+  // order and timer sequence numbers are part of the dispatch-order golden.
+  Park(ctx);
+  return false;
 }
 
 }  // namespace pandora

@@ -18,6 +18,15 @@
 // Select returns the index of a ready guard; the caller then performs the
 // actual Receive, which completes immediately because the peer sender stays
 // parked on the channel until the data is taken.
+//
+// Select is a plain awaiter, not a coroutine: a select costs no frame
+// (DESIGN.md §10.6).  A guard ready on entry completes it inside the
+// current dispatch.  Otherwise the process parks in the Alt
+// (ProcessCtx::parked_alt), and the dispatcher, not the process, handles a
+// lost race: when a notified process comes up, Scheduler::DispatchOne calls
+// Unpark, which rescans the guards and either resumes the process with the
+// chosen index or re-parks it on the same guards and deadline.  Select
+// therefore never returns without a ready guard.
 #ifndef PANDORA_SRC_RUNTIME_ALT_H_
 #define PANDORA_SRC_RUNTIME_ALT_H_
 
@@ -26,7 +35,6 @@
 #include "src/buffer/small_vec.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/scheduler.h"
-#include "src/runtime/task.h"
 #include "src/runtime/time.h"
 
 namespace pandora {
@@ -37,17 +45,14 @@ class Alt : public AltWaiter {
 
   // An Alt lives in a coroutine frame; if that frame is destroyed while
   // parked in Select (Scheduler::KillProcesses — a crashing box), the guard
-  // channels still hold a registration and the timeout timer still holds a
-  // raw pointer to this object.  Undo both.  Guard channels are owned by
-  // boards, not frames, so they outlive the Alt here.
+  // channels still hold a registration, the timeout timer still holds a raw
+  // pointer to this object, and the process record still names it as its
+  // parked Alt.  Undo all three.  Guard channels are owned by boards, not
+  // frames, so they outlive the Alt here.
   ~Alt() {
     if (waiting_ctx_ != nullptr) {
-      for (const Guard& guard : guards_) {
-        if (guard.kind == Guard::kChannel) {
-          guard.channel->UnregisterAltWaiter(this);
-        }
-      }
-      timeout_timer_.Cancel();
+      Withdraw();
+      waiting_ctx_->parked_alt = nullptr;
       waiting_ctx_ = nullptr;
     }
   }
@@ -73,7 +78,13 @@ class Alt : public AltWaiter {
 
   // Waits until some guard is ready; returns the index of the
   // highest-priority ready guard.
-  Task<int> Select();
+  [[nodiscard]] auto Select() { return SelectAwaiter{this}; }
+
+  // Dispatcher hook: the process parked in this Alt's Select was dispatched.
+  // Withdraws the registrations and the timeout, then rescans.  Returns true
+  // when a guard is ready (the process resumes and Select returns it); after
+  // a lost race, re-parks on the same guards and deadline and returns false.
+  bool Unpark();
 
   // AltWaiter:
   void NotifyFromChannel() override {
@@ -93,16 +104,28 @@ class Alt : public AltWaiter {
 
   // Index of the highest-priority ready guard, or -1.
   int ScanReady() const;
+  // Parks `ctx` here: registers on every channel guard, arms the earliest
+  // timeout and names this Alt as the process's parked_alt.
+  void Park(ProcessCtx* ctx);
+  // Undoes Park: unregisters every channel guard and cancels the timeout.
+  void Withdraw();
 
   // State mutated across the suspension lives in the Alt object (a named
   // frame local of the selecting process), never in the awaiter: GCC 12 can
   // relocate co_await operand temporaries between suspend and resume.
-  struct SuspendOp {
+  struct SelectAwaiter {
     Alt* alt;
 
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    void await_resume();
+    bool await_ready() const {
+      alt->chosen_ = alt->ScanReady();
+      return alt->chosen_ >= 0;
+    }
+    void await_suspend(std::coroutine_handle<> h) const {
+      ProcessCtx* ctx = alt->sched_->current();
+      ctx->resume_point = h;
+      alt->Park(ctx);
+    }
+    int await_resume() const { return alt->chosen_; }
   };
 
   Scheduler* sched_;
@@ -112,6 +135,7 @@ class Alt : public AltWaiter {
   SmallVec<Guard, 8> guards_;
   ProcessCtx* waiting_ctx_ = nullptr;
   TimerHandle timeout_timer_;
+  int chosen_ = -1;
   bool notified_ = false;
 };
 

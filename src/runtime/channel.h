@@ -50,7 +50,11 @@ namespace pandora {
 // added delay is bounded (P7) and every batch boundary is a pure function of
 // simulated time, never of wall-clock interleaving (replay stays bit-exact,
 // shards stay thread-count-invariant).  max_hold = 0 means "drain only what
-// is already parked": zero added simulated delay, pure wall-clock win.
+// is already parked": zero added simulated delay, but not observable-
+// neutral.  A drain changes how segments interleave with ready-channel
+// replies, so wherever a ready channel sheds, drop outcomes differ from
+// max_batch = 1 (E15's uplink video shed and the sharded chaos world's
+// segment loss both move; ROADMAP item 6).
 struct BatchOptions {
   int max_batch = 16;
   Duration max_hold = 0;
@@ -85,6 +89,14 @@ class ChannelBase {
 
  protected:
   void NotifyAltWaiters() {
+    // Every box channel has at most one Alt listening: notify it directly.
+    // Nothing iterates the live vector, so the waiter may unregister itself.
+    if (alt_waiters_.size() <= 1) {
+      if (!alt_waiters_.empty()) {
+        alt_waiters_.front()->NotifyFromChannel();
+      }
+      return;
+    }
     // Notify is idempotent and waiters re-check readiness, so waking all of
     // them is safe even though only one will win the data.  A notified
     // waiter may call UnregisterAltWaiter (on itself or a peer) from inside

@@ -22,6 +22,7 @@
 
 namespace pandora {
 
+class Alt;
 class Scheduler;
 
 // Scheduling priority: the transputer has two hardware priority levels.
@@ -44,29 +45,35 @@ inline constexpr int kNumPriorities = 2;
 struct ProcessCtx {
   Scheduler* sched = nullptr;
   std::string name;
-  Priority priority = Priority::kLow;
 
   // Top-level coroutine frame; destroyed by the Scheduler.
   std::coroutine_handle<> top;
   // Innermost suspended frame to resume next (may belong to a nested Task).
   std::coroutine_handle<> resume_point;
+  // The Alt this process is parked in, inside Select; null otherwise.  A
+  // dispatch of a parked process first asks the Alt to rescan its guards
+  // (Alt::Unpark) and resumes the frame only if one is ready.
+  Alt* parked_alt = nullptr;
 
+  // The small fields are grouped into one 16-byte run with no padding
+  // holes: the slab holds one record per live process.
   bool done = false;
   bool queued = false;  // present in a ready queue
   // Set by Scheduler::KillProcesses before the frame is destroyed; channels
   // and pools consult it to sweep parked state the victim will never claim.
   bool killed = false;
   bool in_use = false;  // slab slot currently owns a spawned process
+  Priority priority = Priority::kLow;
   // Timers created by WaitUntil that have not fired yet.  Their fire
   // closures hold this ProcessCtx by raw pointer, so the slot must not be
   // recycled while any are outstanding (a killed process can leave its
   // wakeup timer pending).
   int pending_timers = 0;
+  // Cached trace site for this process's run-slice track (0 = uninterned).
+  TraceSiteId trace_site = 0;
   std::exception_ptr error;
   uint64_t resumptions = 0;  // context switches into this process
   uint64_t generation = 0;   // bumped when the slot is recycled
-  // Cached trace site for this process's run-slice track (0 = uninterned).
-  TraceSiteId trace_site = 0;
 
   // Intrusive links, owned by the Scheduler: the ready queues, the slab
   // free list, and the active list (kept in spawn order so kill/shutdown

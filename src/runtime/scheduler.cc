@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/runtime/alt.h"
 #include "src/runtime/check.h"
 
 namespace pandora {
@@ -117,6 +118,8 @@ ProcessCtx* Scheduler::AllocCtx() {
 
 void Scheduler::RecycleCtx(ProcessCtx* ctx) {
   PANDORA_DCHECK(ctx->in_use && ctx->done && ctx->pending_timers == 0);
+  // A frame destroyed while parked in Select cleared this in ~Alt.
+  PANDORA_DCHECK(ctx->parked_alt == nullptr);
   if (ctx->prev_active != nullptr) {
     ctx->prev_active->next_active = ctx->next_active;
   } else {
@@ -295,14 +298,18 @@ bool Scheduler::DispatchOne() {
   current_ = ctx;
   ++context_switches_;
   ++ctx->resumptions;
-  std::coroutine_handle<> h = ctx->resume_point;
-  PANDORA_CHECK(h != nullptr, "readied process has no resume point");
-  ctx->resume_point = nullptr;
   // Run slices bracket the resume on the process's own track; nested trace
   // events recorded from inside the slice land between B and E at the same
   // simulated timestamp, which the stable export sort preserves.
   PANDORA_TRACE_BEGIN(trace_.get(), ctx->trace_site, ctx->name);
-  h.resume();
+  // A process parked in Alt::Select resumes only if a guard is still ready.
+  // After a lost race the Alt has re-parked it, and the dispatch still
+  // counts: a lost race costs one dispatch (DESIGN.md §10.6).
+  if (ctx->parked_alt == nullptr || ctx->parked_alt->Unpark()) {
+    std::coroutine_handle<> h = std::exchange(ctx->resume_point, nullptr);
+    PANDORA_CHECK(h != nullptr, "readied process has no resume point");
+    h.resume();
+  }
   current_ = nullptr;
   PANDORA_TRACE_END(trace_.get(), ctx->trace_site);
   if ((context_switches_ & 63) == 0) {

@@ -46,12 +46,7 @@ Task<void> SendEncodedBatch(AtmPort* port, SmallVec<SegmentRef, kIoBatchInline>&
   // here, before any box segment buffer is given up.
   SmallVec<WireRef, kIoBatchInline> wires;
   for (size_t i = 0; i < segments.size(); ++i) {
-    std::optional<WireRef> fast = port->wire_pool().TryAllocate();
-    if (fast.has_value()) {
-      wires.push_back(std::move(*fast));
-    } else {
-      wires.push_back(co_await port->wire_pool().Allocate());
-    }
+    wires.push_back(co_await port->wire_pool().Allocate());
   }
   // Encode pass: the ONE serialization per segment, back to back over the
   // burst; each box buffer recycles the moment its bytes are on the image.
@@ -153,6 +148,7 @@ Process NetworkOutput::SplitterProc() {
     ReadySender& sender = ref->is_audio() ? audio_sender_ : video_sender_;
     if (sender.can_send()) {
       co_await sender.Send(std::move(ref));
+      co_await sender.ConsumeReadySignal();
     } else {
       // The interface is saturated: excess video (usually) is discarded
       // here, keeping its queueing delay bounded while audio rides the
@@ -257,14 +253,8 @@ Process NetworkInput::Run() {
       }
       // Copy into this box's buffer memory ("copy once into memory"); pool
       // starvation applies back pressure all the way into the network
-      // delivery path.  The free-list fast path skips the allocator
-      // coroutine entirely; only a starved pool parks us.
-      SegmentRef ref;
-      if (std::optional<SegmentRef> fast = pool_->TryAllocate(); fast.has_value()) {
-        ref = std::move(*fast);
-      } else {
-        ref = co_await pool_->Allocate();
-      }
+      // delivery path.  Only a starved pool parks us.
+      SegmentRef ref = co_await pool_->Allocate();
       // Swap, not assign: the slot's recycled vectors become the next
       // scratch, so payload capacity circulates instead of being freed.
       std::swap(*ref, scratch_);

@@ -35,6 +35,7 @@
 #include "src/runtime/alt.h"
 #include "src/runtime/check.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/task.h"
 #include "src/server/stream_table.h"
 
 namespace pandora {

@@ -123,8 +123,10 @@ class Switch {
     uint64_t active_cache_version = 0;
   };
 
+  // One loop: select, then switch the received segment plus any batch that
+  // rode along in the same wakeup.  Per-segment handling is inline, so a
+  // segment costs no coroutine frame (DESIGN.md §10.6).
   Process Run();
-  Task<void> HandleSegment(SegmentRef ref);
   void HandleCommand(const Command& command);
 
   Scheduler* sched_;

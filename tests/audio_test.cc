@@ -24,21 +24,57 @@
 namespace pandora {
 namespace {
 
+// The G.711 codec as it stood before it became constexpr in ulaw.h, kept
+// verbatim (exponent search loop and all) as the reference both companding
+// tables and the live codec are checked against.
+uint8_t ReferenceULawEncode(int16_t linear) {
+  constexpr int kBias = 0x84;
+  constexpr int kClip = 32635;
+  int sample = linear;
+  int sign = (sample >> 8) & 0x80;
+  if (sign != 0) {
+    sample = -sample;
+  }
+  if (sample > kClip) {
+    sample = kClip;
+  }
+  sample += kBias;
+  int exponent = 7;
+  for (int mask = 0x4000; (sample & mask) == 0 && exponent > 0; mask >>= 1) {
+    --exponent;
+  }
+  int mantissa = (sample >> (exponent + 3)) & 0x0F;
+  return static_cast<uint8_t>(~(sign | (exponent << 4) | mantissa));
+}
+
+int16_t ReferenceULawDecode(uint8_t ulaw) {
+  constexpr int kBias = 0x84;
+  int value = ~ulaw & 0xFF;
+  int sign = value & 0x80;
+  int exponent = (value >> 4) & 0x07;
+  int mantissa = value & 0x0F;
+  int sample = ((mantissa << 3) + kBias) << exponent;
+  sample -= kBias;
+  return static_cast<int16_t>(sign != 0 ? -sample : sample);
+}
+
 TEST(MixKernelTest, DecodeTableMatchesReferenceCodecOverFullDomain) {
-  // mix_kernels.h promises its compile-time companding tables compute the
-  // same G.711 function as src/audio/ulaw.cc; the vectorized mixer's
-  // bit-identity to the old fused loop rests on this.
+  // The vectorized mixer's bit-identity to the old fused loop rests on the
+  // compile-time tables computing exactly the reference G.711 function.
   for (int i = 0; i < 256; ++i) {
-    EXPECT_EQ(kULawDecodeTable[static_cast<size_t>(i)], ULawDecode(static_cast<uint8_t>(i)))
+    const auto codeword = static_cast<uint8_t>(i);
+    EXPECT_EQ(kULawDecodeTable[static_cast<size_t>(i)], ReferenceULawDecode(codeword))
         << "codeword " << i;
+    EXPECT_EQ(ULawDecode(codeword), ReferenceULawDecode(codeword)) << "codeword " << i;
   }
 }
 
 TEST(MixKernelTest, EncodeTableMatchesReferenceCodecOverFullDomain) {
   for (int i = -32768; i <= 32767; ++i) {
     const auto sample = static_cast<int16_t>(i);
-    EXPECT_EQ(kULawEncodeTable[static_cast<uint16_t>(sample)], ULawEncode(sample))
+    EXPECT_EQ(kULawEncodeTable[static_cast<uint16_t>(sample)], ReferenceULawEncode(sample))
         << "sample " << i;
+    EXPECT_EQ(ULawEncode(sample), ReferenceULawEncode(sample)) << "sample " << i;
   }
 }
 

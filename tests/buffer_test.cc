@@ -242,6 +242,7 @@ TEST(DecouplingBufferTest, ReadyChannelProtocol) {
       if (snd->can_send()) {
         SegmentRef ref = MakeRef(p, i);
         co_await snd->Send(std::move(ref));
+        co_await snd->ConsumeReadySignal();  // the buffer's immediate reply
         ok->push_back(true);
       } else {
         snd->CountDrop();

@@ -11,7 +11,9 @@
 // DataPathAllocTest carries the same contract up into the product path: a
 // warmed-up two-box Simulation must move its audio from microphone to mixer
 // with zero heap calls per delivered segment, and a 64x48 video stream
-// (capture, wire, display) may add at most one.
+// (capture, wire, display) may add at most one.  Pooled coroutine frames
+// are invisible to the heap counter, so the audio call also pins them:
+// at most one frame per switched segment.
 //
 // The global operator new/delete replacement is tests/counting_allocator.h,
 // shared with the benches.
@@ -25,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/buffer/frame_pool.h"
 #include "src/core/simulation.h"
 #include "src/runtime/alt.h"
 #include "src/runtime/channel.h"
@@ -198,6 +201,14 @@ class DataPathAllocTest : public ::testing::Test {
     sim_.Start();
   }
 
+  uint64_t Switched() {
+    uint64_t switched = 0;
+    for (PandoraBox* box : boxes_) {
+      switched += box->server_switch().segments_switched();
+    }
+    return switched;
+  }
+
   uint64_t Delivered() {
     uint64_t delivered = 0;
     for (PandoraBox* box : boxes_) {
@@ -233,6 +244,25 @@ TEST_F(DataPathAllocTest, TwoWayAudioCallIsAllocationFree) {
   EXPECT_GE(delivered, 10'000u);
   EXPECT_EQ(allocs, 0u) << "mic -> wire -> mixer touched the heap in steady state ("
                         << delivered << " segments delivered)";
+}
+
+TEST_F(DataPathAllocTest, TwoWayAudioCallFramesPerSwitchedSegment) {
+  // Coroutine frames are exact work: a pooled frame costs no heap call, so
+  // the zero-alloc gate above cannot see a Task coming back per segment.
+  // This pins the frames themselves, deterministically, on every machine.
+  Build(/*with_video=*/false);
+  sim_.SendAudio(*boxes_[0], *boxes_[1]);
+  sim_.SendAudio(*boxes_[1], *boxes_[0]);
+  sim_.RunFor(Seconds(5));
+  const uint64_t switched_before = Switched();
+  const uint64_t frames_before = FramePool::allocations();
+  sim_.RunFor(Seconds(20));
+  const uint64_t frames = FramePool::allocations() - frames_before;
+  const uint64_t switched = Switched() - switched_before;
+  EXPECT_GE(switched, 10'000u);
+  // The one frame left per segment is the egress encode (SendEncodedBatch).
+  EXPECT_LE(frames, switched) << frames << " coroutine frames for " << switched
+                              << " switched segments";
 }
 
 TEST_F(DataPathAllocTest, VideoStreamCostsAtMostOneAllocPerSegment) {

@@ -10,6 +10,7 @@
 #include "src/net/atm.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/shard_set.h"
+#include "src/runtime/task.h"
 #include "src/segment/segment.h"
 #include "src/segment/wire.h"
 

@@ -460,6 +460,141 @@ TEST(AltTest, CommandPriorityNotStarvedByDataFirehose) {
   EXPECT_GT(data_seen, 0);
 }
 
+TEST(AltTest, ContendedLoserReparksAndTimesOutAtOriginalDeadline) {
+  // Two Alts with timeout guards wait on one channel; one sender wakes both.
+  // The first registered wins the value.  The loser pays exactly one extra
+  // dispatch for the lost race, stays inside Select, and later times out at
+  // the deadline it was given, not one re-derived at the lost race.
+  struct Outcome {
+    int chosen = -1;
+    Time returned_at = -1;
+    uint64_t resumptions_at_return = 0;
+  };
+  Scheduler sched;
+  Channel<int> ch(&sched, "ch");
+  Outcome winner;
+  Outcome loser;
+  auto selector = [](Scheduler* s, Channel<int>* c, Duration timeout, Outcome* out) -> Process {
+    Alt alt(s);
+    alt.OnReceive(*c).OnTimeoutAfter(timeout);
+    out->chosen = co_await alt.Select();
+    out->returned_at = s->now();
+    out->resumptions_at_return = s->current()->resumptions;
+    if (out->chosen == 0) {
+      (void)co_await c->Receive();
+    }
+  };
+  auto sender = [](Scheduler* s, Channel<int>* c) -> Process {
+    co_await s->WaitFor(Millis(1));
+    co_await c->Send(7);
+  };
+  sched.Spawn(selector(&sched, &ch, Millis(10), &winner), "winner");
+  ProcessHandle loser_handle = sched.Spawn(selector(&sched, &ch, Millis(4), &loser), "loser");
+  sched.Spawn(sender(&sched, &ch), "tx");
+
+  sched.RunUntil(Millis(2));
+  EXPECT_EQ(winner.chosen, 0);
+  EXPECT_EQ(winner.returned_at, Millis(1));
+  EXPECT_EQ(winner.resumptions_at_return, 2u);  // first run + the notify
+  // The loser was woken by the same Send, found the channel empty and
+  // re-parked: one extra dispatch, no return from Select.
+  EXPECT_EQ(loser.chosen, -1);
+  EXPECT_EQ(loser_handle.resumptions(), 2u);
+  EXPECT_EQ(sched.pending_timer_count(), 1u);  // only the loser's re-armed timeout
+
+  sched.RunUntilQuiescent();
+  EXPECT_EQ(loser.chosen, 1);
+  EXPECT_EQ(loser.returned_at, Millis(4));
+  // An uncontended timeout costs two dispatches; the lost race added one.
+  EXPECT_EQ(loser.resumptions_at_return, 3u);
+  EXPECT_EQ(sched.pending_timer_count(), 0u);
+}
+
+TEST(AltTest, KilledWhileParkedInSelectLeavesNoRegistration) {
+  // A crashing box destroys a process parked in Select.  Its guard channel
+  // must forget the Alt (a later Send wakes nobody), its timeout must leave
+  // the wheel, and its slab slot must recycle clean.
+  Scheduler sched;
+  Channel<int> ch(&sched, "ch");
+  size_t timers_before_select = 1000;
+  auto victim = [](Scheduler* s, Channel<int>* c, size_t* timers_before) -> Process {
+    *timers_before = s->pending_timer_count();
+    Alt alt(s);
+    alt.OnReceive(*c).OnTimeoutAfter(Millis(50));
+    (void)co_await alt.Select();
+    ADD_FAILURE() << "a killed process returned from Select";
+  };
+  sched.Spawn(victim(&sched, &ch, &timers_before_select), "victim");
+  sched.RunFor(Millis(1));
+  EXPECT_EQ(timers_before_select, 0u);
+  ASSERT_EQ(sched.pending_timer_count(), 1u);
+
+  const ProcessCtx* victim_ctx = nullptr;
+  bool parked_at_kill = false;
+  EXPECT_EQ(sched.KillProcesses([&](const ProcessCtx& ctx) {
+              if (ctx.name != "victim") {
+                return false;
+              }
+              victim_ctx = &ctx;
+              parked_at_kill = ctx.parked_alt != nullptr;
+              return true;
+            }),
+            1u);
+  ASSERT_NE(victim_ctx, nullptr);
+  EXPECT_TRUE(parked_at_kill);
+  EXPECT_EQ(sched.pending_timer_count(), timers_before_select);
+  EXPECT_EQ(sched.tracked_process_count(), 0u);  // no wakeup timer pins the slot
+  EXPECT_FALSE(victim_ctx->in_use);
+  EXPECT_EQ(victim_ctx->parked_alt, nullptr);
+
+  // The next spawn takes the recycled slot.  Its Send parks (no receiver)
+  // and notifies nobody: the only dispatch is the sender's own.
+  const ProcessCtx* sender_ctx = nullptr;
+  auto sender = [](Scheduler* s, Channel<int>* c, const ProcessCtx** self) -> Process {
+    *self = s->current();
+    co_await c->Send(1);
+  };
+  const uint64_t switches_before = sched.context_switches();
+  sched.Spawn(sender(&sched, &ch, &sender_ctx), "tx");
+  sched.RunFor(Millis(100));
+  EXPECT_EQ(sender_ctx, victim_ctx);
+  EXPECT_EQ(sched.context_switches(), switches_before + 1);
+  EXPECT_EQ(ch.waiting_senders(), 1u);
+  EXPECT_EQ(ch.TryReceive().value_or(-1), 1);
+  sched.RunUntilQuiescent();
+}
+
+TEST(AltTest, ReadyOnEntryCompletesWithoutSuspending) {
+  // A guard that is already ready completes Select inside the current
+  // dispatch: no context switch, no extra resumption.
+  Scheduler sched;
+  Channel<int> ch(&sched, "ch");
+  int chosen = -1;
+  uint64_t switches_across_select = 1000;
+  uint64_t resumptions_across_select = 1000;
+  auto sender = [](Channel<int>* c) -> Process { co_await c->Send(5); };
+  auto selector = [](Scheduler* s, Channel<int>* c, int* chosen, uint64_t* switches,
+                     uint64_t* resumptions) -> Process {
+    const uint64_t switches_before = s->context_switches();
+    const uint64_t resumptions_before = s->current()->resumptions;
+    Alt alt(s);
+    alt.OnReceive(*c).OnTimeoutAfter(Millis(1));
+    *chosen = co_await alt.Select();
+    *switches = s->context_switches() - switches_before;
+    *resumptions = s->current()->resumptions - resumptions_before;
+    (void)co_await c->Receive();
+  };
+  sched.Spawn(sender(&ch), "tx");  // parks first, so the guard is ready on entry
+  sched.Spawn(selector(&sched, &ch, &chosen, &switches_across_select,
+                       &resumptions_across_select),
+              "sel");
+  sched.RunUntilQuiescent();
+  EXPECT_EQ(chosen, 0);
+  EXPECT_EQ(switches_across_select, 0u);
+  EXPECT_EQ(resumptions_across_select, 0u);
+  EXPECT_EQ(sched.pending_timer_count(), 0u);  // nothing was armed
+}
+
 // A waiter that, when notified, unregisters an arbitrary set of waiters
 // (itself included) from the channel — the reentrancy pattern that would
 // invalidate iterators if NotifyAltWaiters walked its live vector.
