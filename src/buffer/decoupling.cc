@@ -16,35 +16,71 @@ DecouplingBuffer::DecouplingBuffer(Scheduler* sched, Options options, ReportSink
       input_(sched, options.name + ".in"),
       ready_(sched, options.name + ".ready"),
       output_(sched, options.name + ".out"),
-      command_(sched, options.name + ".cmd"),
-      dispatch_(sched, options.name + ".dispatch"),
-      idle_(sched, options.name + ".idle") {
+      command_(sched, options.name + ".cmd") {
   PANDORA_CHECK(capacity_ > 0, "decoupling buffer needs at least one slot");
+  input_.set_passive_receiver(this);
+  output_.set_post_listener(this);
 }
 
 void DecouplingBuffer::Start(Priority priority) {
   PANDORA_CHECK(!started_, "DecouplingBuffer started twice");
   started_ = true;
-  sched_->Spawn(CoreProc(), options_name_ + ".core", priority);
-  // The sender runs at high priority: Pandora arranges "that the output
-  // processes have priority" so back pressure pushes loss toward sources.
-  sched_->Spawn(SenderProc(), options_name_ + ".sender", Priority::kHigh);
+  sched_->Spawn(CommandProc(), options_name_ + ".commands", priority);
 }
 
-Process DecouplingBuffer::SenderProc() {
+bool DecouplingBuffer::Accept(SegmentRef& ref) {
+  if (queue_.size() >= capacity_) {
+    return false;  // full: the producer parks on input() until a take frees a slot
+  }
+  Push(std::move(ref));
+  Refill();
+  return true;
+}
+
+void DecouplingBuffer::Push(SegmentRef ref) {
+  queue_.push_back(std::move(ref));
+  ++total_in_;
+  PANDORA_TRACE_COUNTER(sched_->trace(), trace_depth_site_, options_name_ + ".depth",
+                        static_cast<int64_t>(queue_.size()));
+  if (queue_.size() > max_depth_seen_) {
+    max_depth_seen_ = queue_.size();
+  }
+  const bool space_left = queue_.size() < capacity_;
+  if (!space_left) {
+    reporter_.Report("decoupling.full", ReportSeverity::kWarning, "buffer reached its size limit",
+                     static_cast<int64_t>(capacity_));
+  }
+  if (use_ready_channel_) {
+    // Fig 3.6: an immediate reply after every input, TRUE iff there are
+    // more free slots (counted before the segment moves into the hand);
+    // after FALSE a deferred TRUE follows when a slot frees.
+    if (!space_left) {
+      owe_ready_ = true;
+    }
+    ready_.Post(space_left);
+  }
+}
+
+void DecouplingBuffer::Refill() {
   for (;;) {
-    SegmentRef item = co_await dispatch_.Receive();
-    co_await output_.Send(std::move(item));
-    co_await idle_.Send(true);
+    while (!output_.InputReady() && !queue_.empty()) {
+      SegmentRef head = std::move(queue_.front());
+      queue_.pop_front();
+      ++total_out_;
+      PANDORA_TRACE_COUNTER(sched_->trace(), trace_depth_site_, options_name_ + ".depth",
+                            static_cast<int64_t>(queue_.size()));
+      output_.Post(std::move(head));  // to a parked consumer, or into the hand
+    }
+    if (owe_ready_ && queue_.size() < capacity_) {
+      owe_ready_ = false;
+      ready_.Post(true);
+    }
+    if (queue_.size() >= capacity_ || !input_.InputReady()) {
+      return;
+    }
+    std::optional<SegmentRef> parked = input_.TryReceive();
+    Push(std::move(*parked));
   }
-}
-
-bool DecouplingBuffer::SettleDeferredReady() {
-  if (owe_ready_ && queue_.size() < capacity_) {
-    owe_ready_ = false;
-    return true;
-  }
-  return false;
 }
 
 void DecouplingBuffer::HandleCommand(const Command& command) {
@@ -61,8 +97,9 @@ void DecouplingBuffer::HandleCommand(const Command& command) {
       // "It is also possible to specify a new buffer size dynamically, and
       // the buffer will adjust to this size without any loss of data."  A
       // shrink below the present depth simply pauses intake until drained;
-      // a grow can settle a deferred TRUE (CoreProc sends it).
+      // a grow settles an owed TRUE and admits parked producers at once.
       capacity_ = static_cast<size_t>(command.arg0 > 0 ? command.arg0 : 1);
+      Refill();
       break;
     }
     default:
@@ -71,83 +108,10 @@ void DecouplingBuffer::HandleCommand(const Command& command) {
   }
 }
 
-Process DecouplingBuffer::CoreProc() {
+Process DecouplingBuffer::CommandProc() {
   for (;;) {
-    Alt alt(sched_);
-    alt.OnReceive(command_);  // guard 0: principle 4, commands first
-    alt.OnReceive(idle_);     // guard 1: sender finished a segment
-    const bool can_dispatch = !queue_.empty() && sender_idle_;
-    int next_guard = 2;
-    const int dispatch_guard = can_dispatch ? next_guard++ : -1;
-    if (can_dispatch) {
-      alt.OnSkip();
-    }
-    // A TryPopBatch steal frees slots without passing through the dispatch
-    // branch, so the deferred TRUE owed after a FALSE reply must also be
-    // sendable from here.  In unbatched operation owe_ready_ implies a full
-    // queue at the top of the loop (dispatch and resize both settle the debt
-    // inline), so this guard never arms and the Alt shape is unchanged.
-    const bool owes_ready = use_ready_channel_ && owe_ready_ && queue_.size() < capacity_;
-    const int owed_guard = owes_ready ? next_guard++ : -1;
-    if (owes_ready) {
-      alt.OnSkip();
-    }
-    const bool can_input = queue_.size() < capacity_;
-    const int input_guard = can_input ? next_guard++ : -1;
-    if (can_input) {
-      alt.OnReceive(input_);
-    }
-
-    int chosen = co_await alt.Select();
-    if (chosen == 0) {
-      Command command = co_await command_.Receive();
-      HandleCommand(command);
-      if (command.verb == CommandVerb::kResizeBuffer && SettleDeferredReady()) {
-        co_await ready_.Send(true);
-      }
-    } else if (chosen == 1) {
-      (void)co_await idle_.Receive();
-      sender_idle_ = true;
-    } else if (chosen == dispatch_guard) {
-      SegmentRef item = std::move(queue_.front());
-      queue_.pop_front();
-      ++total_out_;
-      PANDORA_TRACE_COUNTER(sched_->trace(), trace_depth_site_, options_name_ + ".depth",
-                            static_cast<int64_t>(queue_.size()));
-      sender_idle_ = false;
-      co_await dispatch_.Send(std::move(item));  // sender is parked: instant
-      if (SettleDeferredReady()) {
-        co_await ready_.Send(true);
-      }
-    } else if (chosen == owed_guard) {
-      if (SettleDeferredReady()) {
-        co_await ready_.Send(true);
-      }
-    } else if (chosen == input_guard) {
-      SegmentRef item = co_await input_.Receive();
-      queue_.push_back(std::move(item));
-      ++total_in_;
-      PANDORA_TRACE_COUNTER(sched_->trace(), trace_depth_site_, options_name_ + ".depth",
-                            static_cast<int64_t>(queue_.size()));
-      if (queue_.size() > max_depth_seen_) {
-        max_depth_seen_ = queue_.size();
-      }
-      const bool space_left = queue_.size() < capacity_;
-      if (!space_left) {
-        reporter_.Report("decoupling.full", ReportSeverity::kWarning,
-                         "buffer reached its size limit",
-                         static_cast<int64_t>(capacity_));
-      }
-      if (use_ready_channel_) {
-        // Fig 3.6: an immediate reply after every input, TRUE iff there are
-        // more free slots; after FALSE a deferred TRUE follows when a slot
-        // frees.
-        if (!space_left) {
-          owe_ready_ = true;
-        }
-        co_await ready_.Send(space_left);
-      }
-    }
+    Command command = co_await command_.Receive();
+    HandleCommand(command);
   }
 }
 

@@ -5,37 +5,44 @@
 // references, they also respond to commands and generate reports."
 //
 // Two forms exist:
-//  * Plain: when full the buffer stops listening on its input, blocking the
-//    upstream sender — back pressure that pushes data loss towards the
-//    source (output processes run at high priority).
+//  * Plain: when full the buffer stops taking input, blocking the upstream
+//    sender — back pressure that pushes data loss towards the source.
 //  * Ready-channel (fig 3.6): after EVERY accepted input the buffer replies
 //    immediately on the ready channel — TRUE if more slots remain, FALSE if
 //    not — and sends a deferred TRUE when a slot frees.  An upstream
 //    process that got FALSE may throw data away rather than block; this is
 //    how the switch protects split streams (principle 5).
 //
-// The buffer honours principle 4 by alting its command channel at the
-// highest priority, and supports dynamic resize "without any loss of data".
+// Capacity counts the queue; one more segment waits "in hand" at output(),
+// where the consumer takes it.  The buffer is a passive object (DESIGN.md
+// §10.7): it has no process on the data path.  input() hands an offer to it
+// inside the producer's dispatch (PassiveReceiver), which queues it and
+// posts the reply on ready(); the queue head is posted on output(), or
+// handed straight to a consumer already parked there; and the take that
+// frees a slot refills the hand and posts any owed TRUE at that instant
+// (PostListener).  Commands wake a process of their own, so the buffer
+// honours principle 4 even while its consumer is wedged, and a resize
+// takes effect "without any loss of data".
 #ifndef PANDORA_SRC_BUFFER_DECOUPLING_H_
 #define PANDORA_SRC_BUFFER_DECOUPLING_H_
 
 #include <coroutine>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "src/buffer/pool.h"
 #include "src/buffer/ring_queue.h"
-#include "src/buffer/small_vec.h"
 #include "src/control/command.h"
 #include "src/control/report.h"
-#include "src/runtime/alt.h"
 #include "src/runtime/channel.h"
+#include "src/runtime/check.h"
 #include "src/runtime/scheduler.h"
 
 namespace pandora {
 
-class DecouplingBuffer {
+class DecouplingBuffer : private PassiveReceiver<SegmentRef>, private PostListener {
  public:
   struct Options {
     std::string name = "decouple";
@@ -48,40 +55,13 @@ class DecouplingBuffer {
   DecouplingBuffer(const DecouplingBuffer&) = delete;
   DecouplingBuffer& operator=(const DecouplingBuffer&) = delete;
 
-  // Spawns the buffer's processes.  Call once.
+  // Spawns the command process.  Call once.
   void Start(Priority priority = Priority::kLow);
 
   Channel<SegmentRef>& input() { return input_; }
   Channel<bool>& ready() { return ready_; }
   Channel<SegmentRef>& output() { return output_; }
   CommandChannel& commands() { return command_; }
-
-  // Batched egress steal (DESIGN.md §15): moves up to `max` queued segments
-  // into `out`, FIFO, without the per-segment dispatch/output/idle rendezvous
-  // round-trips.  Only safe for the buffer's single downstream consumer, and
-  // only at a point where no segment is in the internal sender's hand ahead
-  // of the queue — i.e. immediately after receiving from output() (drain
-  // output()'s parked sender first if the caller suspended in between).
-  // CoreProc still owns the ready protocol: it notices the freed slots at
-  // its next guard evaluation and sends any owed deferred TRUE.
-  template <std::size_t N>
-  int TryPopBatch(SmallVec<SegmentRef, N>& out, int max) {
-    int popped = 0;
-    while (popped < max && !queue_.empty()) {
-      out.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      ++total_out_;
-      ++popped;
-    }
-    if (popped > 0) {
-      PANDORA_TRACE_COUNTER(sched_->trace(), trace_depth_site_, options_name_ + ".depth",
-                            static_cast<int64_t>(queue_.size()));
-      // Each stolen segment replaced at least one full dispatch round-trip
-      // in the one-segment-per-rendezvous engine (see Scheduler::events).
-      sched_->CountBatchedEvents(static_cast<uint64_t>(popped));
-    }
-    return popped;
-  }
 
   // Observability (the numbers a kReportStatus command returns).
   size_t depth() const { return queue_.size(); }
@@ -93,12 +73,17 @@ class DecouplingBuffer {
   const std::string& name() const { return options_name_; }
 
  private:
-  Process CoreProc();
-  Process SenderProc();
+  // An offer on input(), in the producer's dispatch: refused when full.
+  bool Accept(SegmentRef& ref) override;
+  // The consumer took the segment in hand.
+  void OnPostTaken() override { Refill(); }
+  Process CommandProc();
   void HandleCommand(const Command& command);
-  // True when a FALSE reply's deferred TRUE is due (a slot is free again);
-  // settles the debt, and the caller sends the TRUE on ready_.
-  bool SettleDeferredReady();
+  // Queues one accepted segment and sends the fig 3.6 immediate reply.
+  void Push(SegmentRef ref);
+  // Puts the queue head in hand while the hand is free, settles an owed
+  // TRUE once a slot is free, and admits producers that parked while full.
+  void Refill();
 
   Scheduler* sched_;
   std::string options_name_;
@@ -110,13 +95,8 @@ class DecouplingBuffer {
   Channel<bool> ready_;
   Channel<SegmentRef> output_;
   CommandChannel command_;
-  // Internal: core hands queue heads to a dedicated sender so a slow
-  // consumer can never stall command processing.
-  Channel<SegmentRef> dispatch_;
-  Channel<bool> idle_;
 
   RingQueue<SegmentRef> queue_;
-  bool sender_idle_ = true;
   bool owe_ready_ = false;  // we replied FALSE and owe a deferred TRUE
   bool started_ = false;
 
@@ -127,8 +107,8 @@ class DecouplingBuffer {
 };
 
 // Producer-side helper for the ready-channel protocol.  Tracks the latest
-// TRUE/FALSE and exposes the ready channel for inclusion in the producer's
-// alternation, exactly as section 3.7.1 prescribes.
+// TRUE/FALSE; a deferred TRUE waits on the ready channel (a passive buffer
+// posts it) until Poll or ConsumeReadySignal takes it.
 class ReadySender {
  public:
   ReadySender(Channel<SegmentRef>* input, Channel<bool>* ready) : input_(input), ready_(ready) {}
@@ -144,13 +124,27 @@ class ReadySender {
     return input_->Send(std::move(ref));
   }
 
-  // The channel to include in the producer's alternation while blocked.
-  Channel<bool>& ready_channel() { return *ready_; }
-
   // Takes the next signal on the ready channel: the reply to a Send, or a
-  // deferred TRUE after the alternation selected the ready channel.  A
+  // deferred TRUE (waiting for it if none is there yet).  A
   // plain awaiter over the channel's receive, so a signal costs no frame.
   auto ConsumeReadySignal() { return SignalAwaiter{this, ready_->Receive()}; }
+
+  // The same protocol for a producer with no process (the network
+  // splitter) in front of a passive buffer: picks up any deferred TRUE,
+  // then offers `ref` and takes the immediate reply, all in the caller's
+  // dispatch.  False, with `ref` discarded, when the last reply was FALSE or
+  // the buffer refused the offer (a shrink left it full).
+  bool TrySend(SegmentRef ref) {
+    Poll();
+    if (!can_send_ || !input_->TrySend(std::move(ref))) {
+      return false;
+    }
+    const std::optional<bool> reply = ready_->TryReceive();
+    PANDORA_CHECK(reply.has_value(), "TrySend needs a passive ready-mode buffer");
+    can_send_ = *reply;
+    ++sent_;
+    return true;
+  }
 
   // Drains any deferred TRUE without blocking (for poll-style producers).
   void Poll() {

@@ -18,8 +18,6 @@ int Alt::ScanReady() const {
           return static_cast<int>(i);
         }
         break;
-      case Guard::kSkip:
-        return static_cast<int>(i);
     }
   }
   return -1;

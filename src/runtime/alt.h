@@ -1,4 +1,4 @@
-// Alt: prioritized alternation over channel inputs, timeouts and skip.
+// Alt: prioritized alternation over channel inputs and timeouts.
 //
 // Models the Occam 2 PRI ALT construct (paper section 3.1): a process can
 // wait on several inputs at once, and "the alternatives in the clause can be
@@ -70,11 +70,6 @@ class Alt : public AltWaiter {
     return *this;
   }
   Alt& OnTimeoutAfter(Duration d) { return OnTimeout(sched_->now() + d); }
-  // A skip guard is always ready; it makes Select non-blocking.
-  Alt& OnSkip() {
-    guards_.push_back(Guard{Guard::kSkip, nullptr, kNever});
-    return *this;
-  }
 
   // Waits until some guard is ready; returns the index of the
   // highest-priority ready guard.
@@ -97,7 +92,7 @@ class Alt : public AltWaiter {
 
  private:
   struct Guard {
-    enum Kind { kChannel, kTimeout, kSkip } kind;
+    enum Kind { kChannel, kTimeout } kind;
     ChannelBase* channel;
     Time deadline;
   };

@@ -22,6 +22,13 @@
 // The hot path is allocation-free in steady state: parked parties queue in
 // RingQueues (one buffer, doubled only at high water) and deliveries fill
 // recycled slots in a ticket table, where a ticket is the slot's index.
+//
+// Either end may also be an object with no process (DESIGN.md §10.7): a
+// PassiveReceiver takes a Send inside the sender's own dispatch, and Post
+// parks a value with no sender behind it, telling the channel's
+// PostListener when a receiver takes it.  Receive, TryReceive,
+// TryReceiveBatch and Alt guards see a posted value exactly as they see a
+// parked sender's.
 #ifndef PANDORA_SRC_RUNTIME_CHANNEL_H_
 #define PANDORA_SRC_RUNTIME_CHANNEL_H_
 
@@ -127,6 +134,29 @@ class ChannelBase {
   std::vector<AltWaiter*> notify_snapshot_;
 };
 
+// A receiving end with no process of its own: a Send (or TrySend) that finds
+// no receiver parked and no sender queued offers its value here first, and
+// completes without suspending when Accept takes it (moving from `value`).
+// Refusing leaves `value` alone and the sender parks as usual.
+template <typename T>
+class PassiveReceiver {
+ public:
+  virtual bool Accept(T& value) = 0;
+
+ protected:
+  ~PassiveReceiver() = default;
+};
+
+// Told, inside the receiver's dispatch, each time a receiver takes a value
+// that was Post()ed to the channel.
+class PostListener {
+ public:
+  virtual void OnPostTaken() = 0;
+
+ protected:
+  ~PostListener() = default;
+};
+
 template <typename T>
 class Channel : public ChannelBase, public ShutdownParticipant {
  public:
@@ -176,7 +206,8 @@ class Channel : public ChannelBase, public ShutdownParticipant {
       }
     };
     senders_.remove_if([&drop](ParkedSender& s) {
-      if (s.ctx->killed) {
+      // A posted value (no ctx) belongs to no process: the sweep keeps it.
+      if (s.ctx != nullptr && s.ctx->killed) {
         drop(std::move(s.value));
         return true;
       }
@@ -200,6 +231,10 @@ class Channel : public ChannelBase, public ShutdownParticipant {
     kill_drop_handler_ = std::move(handler);
   }
 
+  // Attaches the channel's process-free ends; either may stay null.
+  void set_passive_receiver(PassiveReceiver<T>* receiver) { passive_receiver_ = receiver; }
+  void set_post_listener(PostListener* listener) { post_listener_ = listener; }
+
   bool InputReady() const override { return !senders_.empty(); }
   size_t waiting_senders() const { return senders_.size(); }
   size_t waiting_receivers() const { return receivers_.size(); }
@@ -212,19 +247,12 @@ class Channel : public ChannelBase, public ShutdownParticipant {
 
     bool await_ready() {
       if (!channel->receivers_.empty()) {
-        // A receiver is already parked: deliver into the channel's inbox
-        // under its ticket and wake it.  Rendezvous complete; the sender
+        // A receiver is already parked: rendezvous complete; the sender
         // continues without suspending.
-        ParkedReceiver receiver = channel->receivers_.front();
-        channel->receivers_.pop_front();
-        channel->delivered_[receiver.ticket].value.emplace(std::move(value));
-        ++channel->transfers_;
-        channel->sched_->Ready(receiver.ctx);
-        PANDORA_TRACE_RENDEZVOUS_END(channel->sched_->trace(), channel->trace_site_,
-                                     receiver.trace_id);
+        channel->DeliverToParked(std::move(value));
         return true;
       }
-      return false;
+      return channel->OfferPassive(value);
     }
     void await_suspend(std::coroutine_handle<> h) {
       ProcessCtx* ctx = channel->sched_->current();
@@ -256,13 +284,7 @@ class Channel : public ChannelBase, public ShutdownParticipant {
 
     bool await_ready() {
       if (!channel->senders_.empty()) {
-        ParkedSender& sender = channel->senders_.front();
-        immediate.emplace(std::move(sender.value));
-        ++channel->transfers_;
-        channel->sched_->Ready(sender.ctx);
-        PANDORA_TRACE_RENDEZVOUS_END(channel->sched_->trace(), channel->trace_site_,
-                                     sender.trace_id);
-        channel->senders_.pop_front();
+        immediate.emplace(channel->TakeFront());
         return true;
       }
       return false;
@@ -297,18 +319,26 @@ class Channel : public ChannelBase, public ShutdownParticipant {
   // co_await channel.Receive(): rendezvous read.
   RecvAwaiter Receive() { return RecvAwaiter{this, std::nullopt, 0}; }
 
-  // Non-blocking send: succeeds only if a receiver is already parked.
+  // Non-blocking send: succeeds only if a receiver is already parked or the
+  // passive receiver accepts.
   bool TrySend(T value) {
     if (receivers_.empty()) {
-      return false;
+      return OfferPassive(value);
     }
-    ParkedReceiver receiver = receivers_.front();
-    receivers_.pop_front();
-    delivered_[receiver.ticket].value.emplace(std::move(value));
-    ++transfers_;
-    sched_->Ready(receiver.ctx);
-    PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, receiver.trace_id);
+    DeliverToParked(std::move(value));
     return true;
+  }
+
+  // Parks `value` with no process behind it (a bounded buffered send: the
+  // poster bounds how many it posts).  A parked receiver takes it at once;
+  // otherwise it waits for a Receive like a parked sender's value would.
+  void Post(T value) {
+    if (!receivers_.empty()) {
+      DeliverToParked(std::move(value));
+      return;
+    }
+    senders_.push_back(ParkedSender{nullptr, std::move(value), 0});
+    NotifyAltWaiters();
   }
 
   // Non-blocking receive: succeeds only if a sender is already parked.
@@ -316,13 +346,7 @@ class Channel : public ChannelBase, public ShutdownParticipant {
     if (senders_.empty()) {
       return std::nullopt;
     }
-    uint64_t trace_id = senders_.front().trace_id;
-    std::optional<T> value(std::move(senders_.front().value));
-    sched_->Ready(senders_.front().ctx);
-    senders_.pop_front();
-    ++transfers_;
-    PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, trace_id);
-    return value;
+    return TakeFront();
   }
 
   // Batched drain (DESIGN.md §15): moves up to `max` already-parked sender
@@ -335,12 +359,7 @@ class Channel : public ChannelBase, public ShutdownParticipant {
   int TryReceiveBatch(SmallVec<T, N>& out, int max) {
     int drained = 0;
     while (drained < max && !senders_.empty()) {
-      ParkedSender& sender = senders_.front();
-      out.push_back(std::move(sender.value));
-      sched_->Ready(sender.ctx);
-      PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, sender.trace_id);
-      senders_.pop_front();
-      ++transfers_;
+      out.push_back(TakeFront());
       ++drained;
     }
     if (drained > 1) {
@@ -360,12 +379,7 @@ class Channel : public ChannelBase, public ShutdownParticipant {
                               : std::min(max, static_cast<int>(values.size()));
     int sent = 0;
     while (sent < limit && !receivers_.empty()) {
-      ParkedReceiver receiver = receivers_.front();
-      receivers_.pop_front();
-      delivered_[receiver.ticket].value.emplace(std::move(values[sent]));
-      ++transfers_;
-      sched_->Ready(receiver.ctx);
-      PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, receiver.trace_id);
+      DeliverToParked(std::move(values[sent]));
       ++sent;
     }
     values.pop_front_n(static_cast<std::size_t>(sent));
@@ -397,6 +411,45 @@ class Channel : public ChannelBase, public ShutdownParticipant {
   };
 
   static constexpr uint32_t kNoFreeSlot = 0xffffffffu;
+
+  // Hands `value` to the oldest parked receiver, under its ticket, and
+  // wakes it.
+  void DeliverToParked(T&& value) {
+    ParkedReceiver receiver = receivers_.front();
+    receivers_.pop_front();
+    delivered_[receiver.ticket].value.emplace(std::move(value));
+    ++transfers_;
+    sched_->Ready(receiver.ctx);
+    PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, receiver.trace_id);
+  }
+
+  // Send's fallback when no receiver is parked: the passive receiver, if
+  // any, and only while no sender is queued ahead (FIFO).
+  bool OfferPassive(T& value) {
+    if (passive_receiver_ == nullptr || !senders_.empty() ||
+        !passive_receiver_->Accept(value)) {
+      return false;
+    }
+    ++transfers_;
+    return true;
+  }
+
+  // Takes the oldest parked value and wakes its sender, or, for a posted
+  // value, tells the listener (which may post the next one).
+  T TakeFront() {
+    ParkedSender& sender = senders_.front();
+    T value = std::move(sender.value);
+    ProcessCtx* ctx = sender.ctx;
+    PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, sender.trace_id);
+    senders_.pop_front();
+    ++transfers_;
+    if (ctx != nullptr) {
+      sched_->Ready(ctx);
+    } else if (post_listener_ != nullptr) {
+      post_listener_->OnPostTaken();
+    }
+    return value;
+  }
 
   uint64_t AllocTicket(ProcessCtx* ctx) {
     uint32_t index;
@@ -430,6 +483,8 @@ class Channel : public ChannelBase, public ShutdownParticipant {
   // Ticket table: values handed to woken-but-not-yet-resumed receivers.
   std::vector<Delivery> delivered_;
   uint32_t delivered_free_ = kNoFreeSlot;
+  PassiveReceiver<T>* passive_receiver_ = nullptr;
+  PostListener* post_listener_ = nullptr;
   std::function<void(T&&)> kill_drop_handler_;  // NOLINT(pandora-std-function-member): cold path
   uint64_t transfers_ = 0;
   // Cached trace site for this channel's rendezvous-wait track.

@@ -117,50 +117,33 @@ NetworkOutput::NetworkOutput(Scheduler* sched, NetworkOutputOptions options, Str
                     report_sink),
       audio_sender_(&audio_buffer_.input(), &audio_buffer_.ready()),
       video_sender_(&video_buffer_.input(), &video_buffer_.ready()),
-      deep_copies_(deep_copies) {}
+      deep_copies_(deep_copies) {
+  input_.set_passive_receiver(this);
+}
 
 void NetworkOutput::Start() {
   PANDORA_CHECK(!started_);
   started_ = true;
   audio_buffer_.Start();
   video_buffer_.Start();
-  sched_->Spawn(SplitterProc(), options_.name + ".split", Priority::kLow);
   sched_->Spawn(SenderProc(), options_.name + ".send", Priority::kHigh);
 }
 
-Process NetworkOutput::SplitterProc() {
-  for (;;) {
-    Alt alt(sched_);
-    alt.OnReceive(input_);
-    alt.OnReceive(audio_sender_.ready_channel());
-    alt.OnReceive(video_sender_.ready_channel());
-    int chosen = co_await alt.Select();
-    if (chosen == 1) {
-      co_await audio_sender_.ConsumeReadySignal();
-      continue;
-    }
-    if (chosen == 2) {
-      co_await video_sender_.ConsumeReadySignal();
-      continue;
-    }
-
-    SegmentRef ref = co_await input_.Receive();
-    ReadySender& sender = ref->is_audio() ? audio_sender_ : video_sender_;
-    if (sender.can_send()) {
-      co_await sender.Send(std::move(ref));
-      co_await sender.ConsumeReadySignal();
-    } else {
-      // The interface is saturated: excess video (usually) is discarded
-      // here, keeping its queueing delay bounded while audio rides the
-      // bigger buffer (principle 2).
-      sender.CountDrop();
-      reporter_.Report(ref->is_audio() ? "netout.audio_drop" : "netout.video_drop",
-                       ReportSeverity::kWarning, "interface saturated; segment discarded",
-                       static_cast<int64_t>(ref->stream));
-    }
-    // The splitter itself never fills: answer the switch immediately.
-    co_await ready_.Send(true);
+bool NetworkOutput::Accept(SegmentRef& ref) {
+  const bool audio = ref->is_audio();
+  const StreamId stream = ref->stream;
+  ReadySender& sender = audio ? audio_sender_ : video_sender_;
+  if (!sender.TrySend(std::move(ref))) {
+    // The interface is saturated: excess video (usually) is discarded
+    // here, keeping its queueing delay bounded while audio rides the
+    // bigger buffer (principle 2).
+    sender.CountDrop();
+    reporter_.Report(audio ? "netout.audio_drop" : "netout.video_drop", ReportSeverity::kWarning,
+                     "interface saturated; segment discarded", static_cast<int64_t>(stream));
   }
+  // The splitter itself never fills: answer the switch immediately.
+  ready_.Post(true);
+  return true;
 }
 
 Process NetworkOutput::SenderProc() {
@@ -200,13 +183,11 @@ Process NetworkOutput::SenderProc() {
       co_await sched_->WaitFor(options_.batch.max_hold);
     }
     if (options_.batch.max_batch > 1) {
-      // FIFO-safe drain of the same class: first the segment (if any) the
-      // buffer's internal sender already holds parked on output(), then a
-      // steal from the queue behind it.  One wire-pool allocation burst
-      // then serves the whole cycle (SendEncodedBatch).
-      int room = options_.batch.max_batch - static_cast<int>(batch.size());
-      room -= source->output().TryReceiveBatch(batch, room);
-      source->TryPopBatch(batch, room);
+      // FIFO drain of the same class: each take from output() puts the
+      // next queued segment in hand, so the batch walks the queue.  One
+      // wire-pool allocation burst then serves the whole cycle
+      // (SendEncodedBatch).
+      source->output().TryReceiveBatch(batch, options_.batch.max_batch - 1);
     }
     co_await SendEncodedBatch(port_, batch, table_, deep_copies_, &sent_);
     batch.clear();

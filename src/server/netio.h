@@ -76,14 +76,16 @@ struct NetworkOutputOptions {
   BatchOptions batch;
 };
 
-class NetworkOutput {
+class NetworkOutput : private PassiveReceiver<SegmentRef> {
  public:
   NetworkOutput(Scheduler* sched, NetworkOutputOptions options, StreamTable* table, AtmPort* port,
                 ReportSink* report_sink = nullptr, uint64_t* deep_copies = nullptr);
 
   void Start();
 
-  // The switch-facing destination endpoint (ready protocol).
+  // The switch-facing destination endpoint (ready protocol).  Passive: the
+  // switch's offer is sorted into the audio or video buffer, and answered,
+  // inside the switch's own dispatch.
   Channel<SegmentRef>& input() { return input_; }
   Channel<bool>& ready() { return ready_; }
 
@@ -98,7 +100,8 @@ class NetworkOutput {
   DecouplingBuffer& video_buffer() { return video_buffer_; }
 
  private:
-  Process SplitterProc();
+  // The splitter of fig 3.7: classifies one offer on input().
+  bool Accept(SegmentRef& ref) override;
   Process SenderProc();
 
   Scheduler* sched_;

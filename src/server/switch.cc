@@ -87,25 +87,15 @@ void Switch::HandleCommand(const Command& command) {
 Process Switch::Run() {
   SmallVec<SegmentRef, 16> batch;
   for (;;) {
+    // A deferred READY=TRUE needs no guard here: destination buffers are
+    // passive, so it waits on the ready channel until the Poll before the
+    // next send to that destination picks it up.
     Alt alt(sched_);
     alt.OnReceive(command_);  // P4: commands pre-empt data
     alt.OnReceive(input_);
-    // Deferred READY signals from destination buffers, so a deferred TRUE
-    // can never wedge a buffer core against an inattentive switch.
-    const int ready_base = 2;
-    for (auto& destination : destinations_) {
-      alt.OnReceive(destination->sender.ready_channel());
-    }
-
-    int chosen = co_await alt.Select();
-    if (chosen == 0) {
+    if (co_await alt.Select() == 0) {
       Command command = co_await command_.Receive();
       HandleCommand(command);
-      continue;
-    }
-    if (chosen != 1) {
-      co_await destinations_[static_cast<size_t>(chosen - ready_base)]
-          ->sender.ConsumeReadySignal();
       continue;
     }
     batch.push_back(co_await input_.Receive());

@@ -2,6 +2,7 @@
 // buffers with the ready-channel protocol, and clawback buffers (paper
 // sections 3.4 and 3.7).
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "src/buffer/pool.h"
 #include "src/control/command.h"
 #include "src/control/report.h"
+#include "src/runtime/alt.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/scheduler.h"
 #include "src/segment/audio_block.h"
@@ -277,6 +279,111 @@ TEST(DecouplingBufferTest, ReadyChannelProtocol) {
   for (size_t i = 1; i < got.size(); ++i) {
     EXPECT_LT(got[i - 1], got[i]);
   }
+}
+
+// One line of a protocol log: "<instant in µs>us <what> <value>".
+void NoteAt(Scheduler* sched, std::vector<std::string>* log, const char* what, int64_t value) {
+  log->push_back(std::to_string(sched->now() / Micros(1)) + "us " + what + " " +
+                 std::to_string(value));
+}
+
+TEST(DecouplingBufferTest, ReadyRepliesKeepTheirSimulatedInstants) {
+  // The fig 3.6 protocol in simulated time: every immediate reply, every
+  // deferred TRUE and every hand-off at output() is pinned at its instant,
+  // through a stall, a slow drain and a grow that settles an owed TRUE.
+  // The producer offers at 0.25 ms + k ms, so no offer shares an instant
+  // with a take (6, 8, ... ms) or the resize (3.5 ms).
+  Scheduler sched;
+  BufferPool pool(&sched, "pool", 32);
+  DecouplingBuffer buffer(&sched, {.name = "d", .capacity = 2, .use_ready_channel = true});
+  ShutdownGuard guard(&sched);
+  buffer.Start();
+
+  ReadySender sender(&buffer.input(), &buffer.ready());
+  std::vector<std::string> log;
+  auto producer = [](Scheduler* s, BufferPool* p, ReadySender* snd, Channel<bool>* ready,
+                     std::vector<std::string>* log) -> Process {
+    co_await s->WaitUntil(Micros(250));
+    for (uint32_t i = 0; i < 12; ++i) {
+      if (snd->can_send()) {
+        SegmentRef ref = MakeRef(p, i);
+        co_await snd->Send(std::move(ref));
+        co_await snd->ConsumeReadySignal();  // the immediate reply
+        NoteAt(s, log, "reply", snd->can_send() ? 1 : 0);
+      } else {
+        snd->CountDrop();
+        NoteAt(s, log, "drop", i);
+      }
+      // Listen on the ready channel until the next offer is due, so each
+      // deferred TRUE is logged at the instant it arrives.
+      const Time next = Micros(250) + Millis(1) * static_cast<Duration>(i + 1);
+      for (;;) {
+        Alt alt(s);
+        alt.OnReceive(*ready).OnTimeout(next);
+        if (co_await alt.Select() != 0) {
+          break;
+        }
+        co_await snd->ConsumeReadySignal();
+        NoteAt(s, log, "deferred", snd->can_send() ? 1 : 0);
+      }
+    }
+    for (;;) {
+      co_await snd->ConsumeReadySignal();
+      NoteAt(s, log, "deferred", snd->can_send() ? 1 : 0);
+    }
+  };
+  auto consumer = [](Scheduler* s, DecouplingBuffer* b,
+                     std::vector<std::string>* log) -> Process {
+    co_await s->WaitUntil(Millis(6));  // stall, then drain every 2 ms
+    for (;;) {
+      SegmentRef ref = co_await b->output().Receive();
+      NoteAt(s, log, "out", ref->header.sequence);
+      co_await s->WaitFor(Millis(2));
+    }
+  };
+  auto resizer = [](Scheduler* s, DecouplingBuffer* b) -> Process {
+    co_await s->WaitUntil(Micros(3500));  // a deferred TRUE is owed here
+    co_await b->commands().Send(Command{CommandVerb::kResizeBuffer, 0, 4, 0});
+  };
+  sched.Spawn(producer(&sched, &pool, &sender, &buffer.ready(), &log), "producer");
+  sched.Spawn(consumer(&sched, &buffer, &log), "consumer");
+  sched.Spawn(resizer(&sched, &buffer), "resizer");
+  sched.RunFor(Millis(40));
+
+  // Capacity 2 holds two queued plus one in hand (seq 0); the grow to 4 at
+  // 3.5 ms settles the TRUE owed since 2.25 ms, and each take from 6 ms on
+  // frees a slot and posts its deferred TRUE at that same instant.
+  const std::vector<std::string> expected = {
+      "250us reply 1",
+      "1250us reply 1",
+      "2250us reply 0",
+      "3250us drop 3",
+      "3500us deferred 1",
+      "4250us reply 1",
+      "5250us reply 0",
+      "6000us out 0",
+      "6000us deferred 1",
+      "6250us reply 0",
+      "7250us drop 7",
+      "8000us out 1",
+      "8000us deferred 1",
+      "8250us reply 0",
+      "9250us drop 9",
+      "10000us out 2",
+      "10000us deferred 1",
+      "10250us reply 0",
+      "11250us drop 11",
+      "12000us out 4",
+      "12000us deferred 1",
+      "14000us out 5",
+      "16000us out 6",
+      "18000us out 8",
+      "20000us out 10",
+  };
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(buffer.total_in(), 8u);
+  EXPECT_EQ(buffer.total_out(), 8u);
+  EXPECT_EQ(buffer.max_depth_seen(), 4u);
 }
 
 TEST(DecouplingBufferTest, CommandsProcessedWhileOutputStalled) {

@@ -13,7 +13,8 @@
 // with zero heap calls per delivered segment, and a 64x48 video stream
 // (capture, wire, display) may add at most one.  Pooled coroutine frames
 // are invisible to the heap counter, so the audio call also pins them:
-// at most one frame per switched segment.
+// at most one frame per switched segment.  Dispatches are pinned the same
+// way: at most 15.5 per switched segment.
 //
 // The global operator new/delete replacement is tests/counting_allocator.h,
 // shared with the benches.
@@ -263,6 +264,28 @@ TEST_F(DataPathAllocTest, TwoWayAudioCallFramesPerSwitchedSegment) {
   // The one frame left per segment is the egress encode (SendEncodedBatch).
   EXPECT_LE(frames, switched) << frames << " coroutine frames for " << switched
                               << " switched segments";
+}
+
+TEST_F(DataPathAllocTest, TwoWayAudioCallDispatchesPerSwitchedSegment) {
+  // Dispatches are exact work too: the same warmed call, counted in
+  // process resumptions per switched segment.  A stage that wakes a
+  // process per segment again (a buffer core, a splitter, a reply wake in
+  // the switch) moves this on every machine.
+  Build(/*with_video=*/false);
+  sim_.SendAudio(*boxes_[0], *boxes_[1]);
+  sim_.SendAudio(*boxes_[1], *boxes_[0]);
+  sim_.RunFor(Seconds(5));
+  Scheduler& sched = sim_.scheduler();
+  const uint64_t switched_before = Switched();
+  const uint64_t dispatches_before = sched.context_switches();
+  sim_.RunFor(Seconds(20));
+  const uint64_t dispatches = sched.context_switches() - dispatches_before;
+  const uint64_t switched = Switched() - switched_before;
+  EXPECT_GE(switched, 10'000u);
+  // The ceiling is the count measured with passive decoupling buffers and
+  // a passive network splitter (DESIGN.md §10.7).
+  EXPECT_LE(static_cast<double>(dispatches), 15.5 * static_cast<double>(switched))
+      << dispatches << " dispatches for " << switched << " switched segments";
 }
 
 TEST_F(DataPathAllocTest, VideoStreamCostsAtMostOneAllocPerSegment) {

@@ -512,6 +512,48 @@ TEST(FaultCrashTest, CrashMidSegmentUnderLoadLeaksNothing) {
   sim.RunFor(Millis(200));
 }
 
+TEST(FaultCrashTest, CrashWithQueuedNetoutSegmentsRestartsClean) {
+  // A saturated uplink keeps both of the box's network output buffers
+  // non-empty; the box crashes with segments queued (and one in hand) in
+  // each.  They must go back to the pool without the kill sweep touching
+  // them as a dead process's values, and after a restart and re-plumb the
+  // peers hear the box again.
+  Simulation sim;
+  PandoraBox::Options a_options = BoxOptions("a", /*with_video=*/true);
+  a_options.network_egress_bps = 400'000;
+  PandoraBox& a = sim.AddBox(a_options);
+  PandoraBox& b = sim.AddBox(BoxOptions("b", /*with_video=*/true));
+  sim.Start();
+  const StreamId audio_at_b = sim.SendAudio(a, b);
+  const StreamId audio_at_a = sim.SendAudio(b, a);
+  sim.SendVideo(a, b, Rect{0, 0, 64, 48}, 1, 1, 4);
+  sim.RunFor(Millis(500));
+
+  DecouplingBuffer& audio = a.network_output().audio_buffer();
+  DecouplingBuffer& video = a.network_output().video_buffer();
+  for (int step = 0; step < 2000 && (audio.depth() == 0 || video.depth() == 0); ++step) {
+    sim.RunFor(Micros(250));
+  }
+  ASSERT_GT(audio.depth(), 0u);
+  ASSERT_GT(video.depth(), 0u);
+  EXPECT_GT(a.network_output().video_drops(), 0u);  // the uplink really is saturated
+
+  sim.CrashBox(a);
+  sim.RunFor(Millis(300));
+  sim.RestartBox(a);
+  const SequenceTracker* at_b = b.audio_receiver().TrackerFor(audio_at_b);
+  const uint64_t b_before = at_b == nullptr ? 0 : at_b->received();
+  sim.RunFor(Seconds(1));
+
+  at_b = b.audio_receiver().TrackerFor(audio_at_b);
+  ASSERT_NE(at_b, nullptr);
+  EXPECT_GT(at_b->received(), b_before + 100);
+  const SequenceTracker* at_a = a.audio_receiver().TrackerFor(audio_at_a);
+  ASSERT_NE(at_a, nullptr);
+  EXPECT_GT(at_a->received(), 100u);
+  EXPECT_GT(a.codec_out().played_blocks(), 200u);
+}
+
 TEST(FaultCrashTest, RepeatedCrashRestartCyclesStayStable) {
   Simulation sim;
   PandoraBox& a = sim.AddBox(BoxOptions("a"));

@@ -373,21 +373,6 @@ TEST(AltTest, ChannelBeatsLaterTimeout) {
   EXPECT_EQ(sched.now(), Millis(1));
 }
 
-TEST(AltTest, SkipGuardMakesSelectNonBlocking) {
-  Scheduler sched;
-  Channel<int> a(&sched, "a");
-  int chosen = -1;
-  auto selector = [](Scheduler* s, Channel<int>* a, int* chosen) -> Process {
-    Alt alt(s);
-    alt.OnReceive(*a).OnSkip();
-    *chosen = co_await alt.Select();
-  };
-  sched.Spawn(selector(&sched, &a, &chosen), "sel");
-  sched.RunUntilQuiescent();
-  EXPECT_EQ(chosen, 1);
-  EXPECT_EQ(sched.now(), 0);
-}
-
 TEST(AltTest, LostRaceReparksAndEventuallyWins) {
   // Two consumers compete for one channel: a plain receiver and an alt.
   // Whoever loses must not deadlock or mis-fire.

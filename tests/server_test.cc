@@ -383,9 +383,9 @@ TEST(NetworkOutputTest, AudioDrainedBeforeVideo) {
   }
   EXPECT_EQ(audio_seen, 4u);
   // Up to two video segments can already be committed downstream of the
-  // priority point when the first audio arrives (one held by the video
-  // buffer's internal sender, one taken by the network sender); everything
-  // still queued yields to audio.
+  // priority point when the first audio arrives (one in hand at the video
+  // buffer's output, one taken by the network sender); everything still
+  // queued yields to audio.
   EXPECT_LE(first_audio, 2u);
 }
 

@@ -460,6 +460,7 @@ struct RunMetrics {
   uint64_t missing = 0;
   uint64_t delivered = 0;
   uint64_t lost = 0;
+  uint64_t clawback_drops = 0;
   uint64_t context_switches = 0;
   uint64_t latency_count = 0;
   double latency_mean = 0.0;
@@ -488,6 +489,7 @@ RunMetrics RunSeededCall(bool traced) {
   m.missing = rx.audio_receiver().total_missing();
   m.delivered = sim.network().total_delivered();
   m.lost = sim.network().total_lost();
+  m.clawback_drops = rx.clawback_bank().TotalStats().clawback_drops;
   m.context_switches = sim.scheduler().context_switches();
   const StatAccumulator* latency = rx.mixer().LatencyFor(stream);
   if (latency != nullptr) {
@@ -506,6 +508,7 @@ TEST(TraceDeterminismTest, TracingDoesNotPerturbTheSimulation) {
   EXPECT_EQ(off.missing, on.missing);
   EXPECT_EQ(off.delivered, on.delivered);
   EXPECT_EQ(off.lost, on.lost);
+  EXPECT_EQ(off.clawback_drops, on.clawback_drops);
   EXPECT_EQ(off.context_switches, on.context_switches);
   EXPECT_EQ(off.latency_count, on.latency_count);
   EXPECT_DOUBLE_EQ(off.latency_mean, on.latency_mean);
@@ -513,6 +516,103 @@ TEST(TraceDeterminismTest, TracingDoesNotPerturbTheSimulation) {
   // The comparison is only meaningful if the call actually flowed.
   EXPECT_GT(off.played, 500u);
   EXPECT_GT(off.lost, 0u);
+}
+
+// --- Outcome pins -------------------------------------------------------------
+//
+// What Pandora did, not how the engine scheduled it: blocks played, segments
+// lost, frames shown, segments recorded, and the delay the listener heard.
+// No dispatch count or order appears here, so a change that removes
+// processes from the data path (or reorders work within one simulated
+// instant) must leave every value as it is.
+
+TEST(OutcomePinTest, SeededLossyCallOutcomes) {
+  const RunMetrics m = RunSeededCall(/*traced=*/false);
+  EXPECT_EQ(m.played, 1498u);
+  EXPECT_EQ(m.underruns, 0u);
+  EXPECT_EQ(m.missing, 6u);
+  EXPECT_EQ(m.delivered, 743u);
+  EXPECT_EQ(m.lost, 6u);
+  EXPECT_EQ(m.clawback_drops, 0u);
+  EXPECT_EQ(m.latency_count, 1483u);
+  EXPECT_NEAR(m.latency_mean, 10523.386378961564, 1e-6);
+  EXPECT_EQ(m.latency_max, 10639.0);
+}
+
+// Three boxes with video: a and b call each other (audio and video), b and
+// c call each other (audio), c sends video to a at half rate, a's microphone
+// is split to c as well, and c records the split copy.
+struct MeshOutcome {
+  std::vector<uint64_t> played, underruns, missing, clawback_drops, frames;
+  uint64_t delivered = 0;
+  uint64_t lost = 0;
+  uint64_t recorded = 0;
+  uint64_t latency_count = 0;
+  double latency_mean = 0.0;
+  double latency_max = 0.0;
+};
+
+MeshOutcome RunAvMesh() {
+  Simulation sim(/*seed=*/77);
+  PandoraBox::Options a_options = BoxOptions("a");
+  a_options.with_video = true;
+  PandoraBox::Options b_options = BoxOptions("b");
+  b_options.with_video = true;
+  PandoraBox::Options c_options = BoxOptions("c");
+  c_options.with_video = true;
+  c_options.with_repository = true;
+  PandoraBox& a = sim.AddBox(a_options);
+  PandoraBox& b = sim.AddBox(b_options);
+  PandoraBox& c = sim.AddBox(c_options);
+  sim.Start();
+  CallPath path;
+  path.direct.loss_rate = 0.005;
+  path.direct.jitter_max = Millis(3);
+  const StreamId a_at_b = sim.SendAudio(a, b, path);
+  sim.SendAudio(b, a, path);
+  sim.SendAudio(b, c, path);
+  sim.SendAudio(c, b, path);
+  sim.SendVideo(a, b, Rect{0, 0, 64, 48}, 1, 1, 4, path);
+  sim.SendVideo(b, a, Rect{0, 0, 64, 48}, 1, 1, 4, path);
+  sim.SendVideo(c, a, Rect{0, 0, 64, 48}, 1, 2, 4, path);
+  const StreamId a_at_c = sim.SplitAudioTo(a, a.mic_stream(), c, path);
+  sim.RecordStream(c, a_at_c);
+  sim.RunFor(Seconds(3));
+
+  MeshOutcome m;
+  for (PandoraBox* box : {&a, &b, &c}) {
+    m.played.push_back(box->codec_out().played_blocks());
+    m.underruns.push_back(box->codec_out().underruns());
+    m.missing.push_back(box->audio_receiver().total_missing());
+    m.clawback_drops.push_back(box->clawback_bank().TotalStats().clawback_drops);
+    m.frames.push_back(box->display()->frames_displayed());
+  }
+  m.delivered = sim.network().total_delivered();
+  m.lost = sim.network().total_lost();
+  m.recorded = c.repository()->segments_recorded();
+  const StatAccumulator* latency = b.mixer().LatencyFor(a_at_b);
+  if (latency != nullptr) {
+    m.latency_count = latency->count();
+    m.latency_mean = latency->Mean();
+    m.latency_max = latency->max();
+  }
+  return m;
+}
+
+TEST(OutcomePinTest, AvMeshWithSplitAndRecordingOutcomes) {
+  const MeshOutcome m = RunAvMesh();
+  using V = std::vector<uint64_t>;
+  EXPECT_EQ(m.played, (V{1498, 1498, 1498}));
+  EXPECT_EQ(m.underruns, (V{0, 0, 0}));
+  EXPECT_EQ(m.missing, (V{4, 10, 5}));
+  EXPECT_EQ(m.clawback_drops, (V{0, 0, 0}));
+  EXPECT_EQ(m.frames, (V{108, 73, 0}));
+  EXPECT_EQ(m.delivered, 4462u);
+  EXPECT_EQ(m.lost, 23u);
+  EXPECT_EQ(m.recorded, 746u);
+  EXPECT_EQ(m.latency_count, 1488u);
+  EXPECT_NEAR(m.latency_mean, 9158.7614247311831, 1e-6);
+  EXPECT_EQ(m.latency_max, 9315.0);
 }
 
 }  // namespace
