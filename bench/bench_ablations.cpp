@@ -189,8 +189,9 @@ A3Outcome RunReady(bool ready_enabled) {
 }  // namespace
 }  // namespace pandora
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pandora;
+  BenchParseArgs(argc, argv);
   BenchHeader("ABLATIONS", "what each design choice buys",
               "clawback vs elastic buffer; interface split; ready channel vs blocking");
 
@@ -225,5 +226,5 @@ int main() {
            100.0 * static_cast<double>(without_ready.healthy_received) /
                static_cast<double>(without_ready.healthy_expected),
            "%", "(the stalled copy wedges the switch)");
-  return 0;
+  return BenchFinish();
 }

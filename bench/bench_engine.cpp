@@ -5,9 +5,9 @@
 // switches" and its one-microsecond timer (section 3.1); E5 shows a server
 // board shrugging off ~5 kHz switching.  For the reproduction to be the
 // cheap substrate the paper assumed, the engine hot path (timer arm/fire,
-// channel rendezvous, process spawn/exit, ALT selection, batched channel
-// drains) must not touch the heap in steady state.  This bench drives five
-// calibrated storms plus a mixed storm over the workload's real horizons
+// channel rendezvous, process spawn/exit, ALT selection) must not touch the
+// heap in steady state.  This bench drives four calibrated storms plus a
+// mixed storm over the workload's real horizons
 // (2 ms block timers up to 8 s clawback timers) and reports, per storm:
 //
 //   events/sec    wall-clock scheduler dispatches per second (simulated time
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/buffer/small_vec.h"
 #include "src/runtime/alt.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/random.h"
@@ -46,9 +45,7 @@ struct StormScore {
 // and lanes ONCE (world construction is not what this bench scores), then a
 // warmup Drive pass fills every free list, pool, ticket table and container
 // capacity, and a measured Drive pass is scored.  events() counts scheduler
-// dispatches plus batched-drain elements that each replaced a dispatch in
-// the one-segment-per-wakeup engine (DESIGN.md §15), so throughput stays
-// comparable across engines; allocs/event must be exactly zero.
+// dispatches; allocs/event must be exactly zero.
 template <typename Storm>
 StormScore RunStorm(uint64_t warmup_iters, uint64_t iters) {
   Scheduler sched;
@@ -226,64 +223,22 @@ struct AltStorm {
   }
 };
 
-// --- storm 5: batched drain -------------------------------------------------
-// The converted ingress/egress shape (DESIGN.md §15): many producers feed one
-// consumer which blocks for the first element, then drains every sender that
-// parked behind it in one wakeup via TryReceiveBatch.  Each drained element
-// retires a sender for the cost of a ready-list push instead of a full
-// dispatch round-trip — the same economy NetworkInput, NetworkOutput and the
-// switch now run on.
-struct BatchDrainStorm {
-  static constexpr int kProducers = 16;
-  std::unique_ptr<Channel<int>> ch;
-
-  void Setup(Scheduler& sched) { ch = std::make_unique<Channel<int>>(&sched, "drain"); }
-
-  void Drive(Scheduler& sched, uint64_t iters) {
-    // ~2 events per element: one dispatch pair amortized across the batch
-    // plus one batched credit per drained element.
-    const uint64_t per_producer = iters / (2 * kProducers) + 1;
-    auto producer = [](Channel<int>* ch, uint64_t n) -> Process {
-      for (uint64_t i = 0; i < n; ++i) {
-        co_await ch->Send(static_cast<int>(i));
-      }
-    };
-    auto consumer = [](Channel<int>* ch, uint64_t total) -> Process {
-      SmallVec<int, 64> batch;
-      for (uint64_t got = 0; got < total;) {
-        (void)co_await ch->Receive();
-        ++got;
-        batch.clear();
-        got += static_cast<uint64_t>(ch->TryReceiveBatch(batch, kProducers - 1));
-      }
-    };
-    for (int p = 0; p < kProducers; ++p) {
-      sched.Spawn(producer(ch.get(), per_producer), "p");
-    }
-    sched.Spawn(consumer(ch.get(), kProducers * per_producer), "c");
-    sched.RunUntilQuiescent();
-  }
-};
-
-// --- storm 6: mixed ---------------------------------------------------------
-// All five shapes back-to-back on one scheduler, weighted the way a real box
-// mesh spends its dispatches: per-segment wire traffic (now the batched
-// drain shape end to end) dominates, with timers, rendezvous control
-// round-trips, forwarder spawns and Alt deadlines sharing the rest — the
-// profile E5/E16 worlds actually produce.
+// --- storm 5: mixed ---------------------------------------------------------
+// All four shapes back-to-back on one scheduler, weighted the way a real box
+// mesh spends its dispatches: per-segment wire traffic (one rendezvous send
+// per segment per stage) dominates, with timers, forwarder spawns and Alt
+// deadlines sharing the rest — the profile E5/E16 worlds actually produce.
 struct MixedStorm {
   TimerChurnStorm timers;
   RendezvousStorm rendezvous;
   SpawnChurnStorm spawns;
   AltStorm alts;
-  BatchDrainStorm drain;
 
   void Setup(Scheduler& sched) {
     timers.Setup(sched);
     rendezvous.Setup(sched);
     spawns.Setup(sched);
     alts.Setup(sched);
-    drain.Setup(sched);
   }
 
   void Drive(Scheduler& sched, uint64_t iters) {
@@ -291,10 +246,9 @@ struct MixedStorm {
     // segment crosses switch → egress → wire → ingress → switch → buffer, so
     // per-segment events outnumber block-timer fires well over 10:1.
     timers.Drive(sched, iters / 16);
-    rendezvous.Drive(sched, iters / 8);
+    rendezvous.Drive(sched, (11 * iters) / 16);
     spawns.Drive(sched, iters / 8);
     alts.Drive(sched, iters / 8);
-    drain.Drive(sched, (9 * iters) / 16);
   }
 };
 
@@ -324,10 +278,8 @@ int main(int argc, char** argv) {
   Report("rendezvous", RunStorm<RendezvousStorm>(kWarmup, kIters));
   Report("spawn churn", RunStorm<SpawnChurnStorm>(kWarmup, kIters));
   Report("alt storm", RunStorm<AltStorm>(kWarmup, kIters));
-  Report("batched drain", RunStorm<BatchDrainStorm>(kWarmup, kIters));
   Report("mixed storm", RunStorm<MixedStorm>(kWarmup, kIters));
-  BenchNote("events = dispatches + batched-drain credits (Scheduler::events); "
-            "allocs counted by a global counting operator new around the "
-            "measured (post-warmup) pass");
+  BenchNote("events = dispatches (Scheduler::events); allocs counted by a global "
+            "counting operator new around the measured (post-warmup) pass");
   return BenchFinish();
 }

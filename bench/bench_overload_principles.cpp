@@ -99,8 +99,9 @@ void RunAgePriority() {
 }  // namespace
 }  // namespace pandora
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pandora;
+  BenchParseArgs(argc, argv);
   BenchHeader("E9", "who degrades first under overload?",
               "P1 incoming before outgoing; P2 video before audio; P3 oldest first");
   RunAudioVideoSqueeze();
@@ -108,5 +109,5 @@ int main() {
   std::printf("\n");
   BenchNote("P1 shows in the architecture: outgoing chains run at high priority and the");
   BenchNote("degradation comparator ranks incoming attrs first (tests: server_test.cc).");
-  return 0;
+  return BenchFinish();
 }

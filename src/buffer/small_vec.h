@@ -6,12 +6,8 @@
 // the steady state.  SmallVec keeps the common case entirely inside the
 // owning object (for an Alt, inside the coroutine frame, which the frame
 // pool already recycles) and only touches the heap past N elements.
-//
-// Since the batched data plane (DESIGN.md §15) drains move-only payloads
-// (SegmentRef, NetRx) into SmallVecs, element types may be any movable
-// type: trivially copyable elements grow by memcpy, everything else by
-// move-construct + destroy.  Batch consumers use pop_front_n to retire a
-// consumed prefix without disturbing the unconsumed tail's order.
+// Elements must be trivially copyable (an Alt guard is), so growth is a
+// memcpy and nothing needs destroying.
 #ifndef PANDORA_SRC_BUFFER_SMALL_VEC_H_
 #define PANDORA_SRC_BUFFER_SMALL_VEC_H_
 
@@ -19,7 +15,6 @@
 #include <cstring>
 #include <new>
 #include <type_traits>
-#include <utility>
 
 #include "src/runtime/check.h"
 
@@ -28,13 +23,12 @@ namespace pandora {
 template <typename T, std::size_t N>
 class SmallVec {
   static_assert(N > 0);
-  static_assert(std::is_nothrow_move_constructible_v<T>);
+  static_assert(std::is_trivially_copyable_v<T>);
   static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
  public:
   SmallVec() = default;
   ~SmallVec() {
-    DestroyAll();
     if (heap_ != nullptr) {
       ::operator delete(static_cast<void*>(heap_));
     }
@@ -43,7 +37,6 @@ class SmallVec {
   SmallVec(const SmallVec&) = delete;
   SmallVec& operator=(const SmallVec&) = delete;
 
-  bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
   void push_back(const T& value) {
@@ -53,81 +46,23 @@ class SmallVec {
     ::new (static_cast<void*>(data() + size_)) T(value);
     ++size_;
   }
-  void push_back(T&& value) {
-    if (size_ == capacity_) {
-      Grow();
-    }
-    ::new (static_cast<void*>(data() + size_)) T(std::move(value));
-    ++size_;
-  }
 
-  T& operator[](std::size_t i) {
-    PANDORA_DCHECK(i < size_);
-    return data()[i];
-  }
   const T& operator[](std::size_t i) const {
     PANDORA_DCHECK(i < size_);
     return data()[i];
   }
 
-  T* begin() { return data(); }
-  T* end() { return data() + size_; }
   const T* begin() const { return data(); }
   const T* end() const { return data() + size_; }
-
-  void clear() {
-    DestroyAll();
-    size_ = 0;
-  }
-
-  // Retires the first `n` elements, sliding the survivors down in order.
-  // Batch producers fill a SmallVec, hand a prefix to a sink (e.g.
-  // Channel::TrySendBatch) and keep the unconsumed tail for the next cycle.
-  void pop_front_n(std::size_t n) {
-    PANDORA_DCHECK(n <= size_);
-    if (n == 0) {
-      return;
-    }
-    T* d = data();
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      std::memmove(static_cast<void*>(d), static_cast<const void*>(d + n),
-                   (size_ - n) * sizeof(T));
-    } else {
-      for (std::size_t i = n; i < size_; ++i) {
-        d[i - n] = std::move(d[i]);
-      }
-      for (std::size_t i = size_ - n; i < size_; ++i) {
-        d[i].~T();
-      }
-    }
-    size_ -= n;
-  }
 
  private:
   T* data() { return heap_ != nullptr ? heap_ : reinterpret_cast<T*>(inline_); }
   const T* data() const { return heap_ != nullptr ? heap_ : reinterpret_cast<const T*>(inline_); }
 
-  void DestroyAll() {
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      T* d = data();
-      for (std::size_t i = 0; i < size_; ++i) {
-        d[i].~T();
-      }
-    }
-  }
-
   void Grow() {
     const std::size_t next = capacity_ * 2;
     T* grown = static_cast<T*>(::operator new(next * sizeof(T)));
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      std::memcpy(static_cast<void*>(grown), static_cast<const void*>(data()), size_ * sizeof(T));
-    } else {
-      T* d = data();
-      for (std::size_t i = 0; i < size_; ++i) {
-        ::new (static_cast<void*>(grown + i)) T(std::move(d[i]));
-        d[i].~T();
-      }
-    }
+    std::memcpy(static_cast<void*>(grown), static_cast<const void*>(data()), size_ * sizeof(T));
     if (heap_ != nullptr) {
       ::operator delete(static_cast<void*>(heap_));
     }

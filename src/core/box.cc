@@ -22,8 +22,7 @@ PandoraBox::Boards::Boards(Scheduler* sched, AtmPort* port, const Options& optio
     :  // --- server board ---
       server_cpu_(sched, options.name + ".server.cpu"),
       pool_(sched, options.name + ".pool", options.pool_buffers, report_sink),
-      switch_(sched, SwitchOptions{.name = options.name + ".switch", .batch = options.batch},
-              &server_cpu_, report_sink),
+      switch_(sched, SwitchOptions{.name = options.name + ".switch"}, &server_cpu_, report_sink),
       to_audio_buf_(sched,
                     {.name = options.name + ".buf.audio_out",
                      .capacity = options.audio_out_buffer,
@@ -38,12 +37,11 @@ PandoraBox::Boards::Boards(Scheduler* sched, AtmPort* port, const Options& optio
                [&] {
                  NetworkOutputOptions o = options.netout;
                  o.name = options.name + ".netout";
-                 o.batch = options.batch;  // the box-level knob wins
                  return o;
                }(),
                &switch_.table(), port, report_sink, &deep_copies_),
-      net_in_(sched, {.name = options.name + ".netin", .batch = options.batch}, port, &pool_,
-              &switch_.input(), report_sink, &deep_copies_),
+      net_in_(sched, {.name = options.name + ".netin"}, port, &pool_, &switch_.input(),
+              report_sink, &deep_copies_),
       // --- audio board ---
       audio_cpu_(sched, options.name + ".audio.cpu"),
       mic_chan_(sched, options.name + ".mic"),

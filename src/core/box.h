@@ -82,13 +82,6 @@ class PandoraBox {
     size_t audio_out_buffer = 32;
     size_t display_buffer = 16;
     NetworkOutputOptions netout;
-    // One knob for every batched drain stage in this box (DESIGN.md §15):
-    // applied to the switch, the network input and the network output
-    // (overriding netout.batch).  max_batch = 1 restores the legacy
-    // one-segment-per-wakeup engine bit for bit; max_hold = 0 (the default)
-    // keeps batch boundaries at already-parked work only, so batching adds
-    // zero simulated delay.
-    BatchOptions batch;
     // CPU cost calibration.
     AudioCpuCosts costs;
     ClawbackConfig clawback;

@@ -52,7 +52,8 @@ Process NetMicrophone::UplinkProc() {
     }
     // Encode once; every listener's NetTx shares the same wire bytes (the
     // VCI relabels per circuit).
-    co_await SendEncodedSegment(port_, std::move(ref), vcis_, &deep_copies_);
+    WireRef wire = co_await port_->wire_pool().Allocate();
+    co_await SendEncodedSegment(port_, std::move(wire), std::move(ref), vcis_, &deep_copies_);
   }
 }
 
@@ -116,7 +117,8 @@ Process NetCamera::UplinkProc() {
     if (vcis_.empty()) {
       continue;
     }
-    co_await SendEncodedSegment(port_, std::move(ref), vcis_, &deep_copies_);
+    WireRef wire = co_await port_->wire_pool().Allocate();
+    co_await SendEncodedSegment(port_, std::move(wire), std::move(ref), vcis_, &deep_copies_);
   }
 }
 

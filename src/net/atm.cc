@@ -405,9 +405,8 @@ void AtmNetwork::ArriveTransfer(WireTransfer* transfer) {
   delivery.wire = std::move(*wire);
   // Fast path: the box's ingress handler is already parked on rx() — hand
   // the image over without spawning a process (one dispatch per segment
-  // saved; the batched NetworkInput drains these in bursts).  A parked
-  // receiver implies no parked senders, so this can never jump ahead of a
-  // queued delivery.
+  // saved).  A parked receiver implies no parked senders, so this can never
+  // jump ahead of a queued delivery.
   if (dst->rx_.waiting_receivers() > 0) {
     const bool handed = dst->rx_.TrySend(std::move(delivery));
     PANDORA_DCHECK(handed, "rx TrySend failed with a parked receiver");

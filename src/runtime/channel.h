@@ -26,13 +26,11 @@
 // Either end may also be an object with no process (DESIGN.md §10.7): a
 // PassiveReceiver takes a Send inside the sender's own dispatch, and Post
 // parks a value with no sender behind it, telling the channel's
-// PostListener when a receiver takes it.  Receive, TryReceive,
-// TryReceiveBatch and Alt guards see a posted value exactly as they see a
-// parked sender's.
+// PostListener when a receiver takes it.  Receive, TryReceive and Alt
+// guards see a posted value exactly as they see a parked sender's.
 #ifndef PANDORA_SRC_RUNTIME_CHANNEL_H_
 #define PANDORA_SRC_RUNTIME_CHANNEL_H_
 
-#include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -43,29 +41,12 @@
 #include <vector>
 
 #include "src/buffer/ring_queue.h"
-#include "src/buffer/small_vec.h"
 #include "src/runtime/check.h"
 #include "src/runtime/process.h"
 #include "src/runtime/scheduler.h"
 #include "src/trace/trace.h"
 
 namespace pandora {
-
-// Bounds for a batched drain cycle (DESIGN.md §15).  A drain takes at most
-// `max_batch` elements per wakeup, and a consumer that holds a partial batch
-// open waits at most `max_hold` of *simulated* time before flushing — so the
-// added delay is bounded (P7) and every batch boundary is a pure function of
-// simulated time, never of wall-clock interleaving (replay stays bit-exact,
-// shards stay thread-count-invariant).  max_hold = 0 means "drain only what
-// is already parked": zero added simulated delay, but not observable-
-// neutral.  A drain changes how segments interleave with ready-channel
-// replies, so wherever a ready channel sheds, drop outcomes differ from
-// max_batch = 1 (E15's uplink video shed and the sharded chaos world's
-// segment loss both move; ROADMAP item 6).
-struct BatchOptions {
-  int max_batch = 16;
-  Duration max_hold = 0;
-};
 
 // Something (an Alt) that wants to learn when a channel becomes readable.
 class AltWaiter {
@@ -347,46 +328,6 @@ class Channel : public ChannelBase, public ShutdownParticipant {
       return std::nullopt;
     }
     return TakeFront();
-  }
-
-  // Batched drain (DESIGN.md §15): moves up to `max` already-parked sender
-  // values into `out` (FIFO, appended after any existing contents) and wakes
-  // each sender, without suspending.  Returns the number drained; 0 when no
-  // sender is parked.  Elements beyond the first are counted as batched
-  // events — each replaced a whole dispatch in the one-segment-per-wakeup
-  // engine — so events()/s stays comparable across engines.
-  template <std::size_t N>
-  int TryReceiveBatch(SmallVec<T, N>& out, int max) {
-    int drained = 0;
-    while (drained < max && !senders_.empty()) {
-      out.push_back(TakeFront());
-      ++drained;
-    }
-    if (drained > 1) {
-      sched_->CountBatchedEvents(static_cast<uint64_t>(drained - 1));
-    }
-    return drained;
-  }
-
-  // Batched delivery: hands a prefix of `values` to already-parked receivers
-  // (FIFO, at most `max`; max < 0 means all of `values`), waking each,
-  // without suspending.  The consumed prefix is popped from `values`; the
-  // unconsumed tail stays, in order, for the caller's next cycle (typically
-  // a blocking Send per remaining element).  Returns the number delivered.
-  template <std::size_t N>
-  int TrySendBatch(SmallVec<T, N>& values, int max = -1) {
-    const int limit = max < 0 ? static_cast<int>(values.size())
-                              : std::min(max, static_cast<int>(values.size()));
-    int sent = 0;
-    while (sent < limit && !receivers_.empty()) {
-      DeliverToParked(std::move(values[sent]));
-      ++sent;
-    }
-    values.pop_front_n(static_cast<std::size_t>(sent));
-    if (sent > 1) {
-      sched_->CountBatchedEvents(static_cast<uint64_t>(sent - 1));
-    }
-    return sent;
   }
 
  private:

@@ -224,15 +224,9 @@ class Scheduler {
   // --- Statistics ----------------------------------------------------------
 
   uint64_t context_switches() const { return context_switches_; }
-  // Logical events handled: one per dispatch, plus one per element a batch
-  // drain absorbed beyond its first (each such element replaced a dispatch
-  // the unbatched engine would have paid — see Channel::TryReceiveBatch).
-  // Throughput benches report events()/s so batched and unbatched engines
-  // are compared on work delivered, not on wakeups burned.
-  uint64_t events() const { return context_switches_ + batched_events_; }
-  // Called by batch drain primitives with the count of elements that rode
-  // along in an already-dispatched wakeup.
-  void CountBatchedEvents(uint64_t n) { batched_events_ += n; }
+  // Logical events handled: one per dispatch.  Kept beside
+  // context_switches() because throughput reports name both.
+  uint64_t events() const { return context_switches_; }
   size_t live_process_count() const { return live_processes_; }
   // Process records currently held (live, or finished or killed with
   // timers still pending).  Recycling keeps this near the live count
@@ -273,7 +267,6 @@ class Scheduler {
   size_t in_use_processes_ = 0;
   size_t live_processes_ = 0;
   uint64_t context_switches_ = 0;
-  uint64_t batched_events_ = 0;
   bool shutting_down_ = false;
   std::vector<ShutdownParticipant*> shutdown_participants_;
   std::unique_ptr<TraceRecorder> trace_;

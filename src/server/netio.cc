@@ -2,98 +2,43 @@
 
 #include <utility>
 
+#include "src/buffer/small_vec.h"
 #include "src/runtime/check.h"
 #include "src/segment/wire.h"
 #include "src/trace/trace.h"
 
 namespace pandora {
 
-Task<void> SendEncodedSegment(AtmPort* port, SegmentRef ref, const std::vector<Vci>& vcis,
-                              uint64_t* deep_copies) {
+Task<void> SendEncodedSegment(AtmPort* port, WireRef wire, SegmentRef ref,
+                              std::span<const Vci> vcis, uint64_t* deep_copies) {
   PANDORA_CHECK(!vcis.empty(), "wire send with no destination VCI");
-  // The ONE serialization on the transmit side.  Wire-pool starvation
-  // applies back pressure here, before the box's segment buffer is given
-  // up; the encode reuses the recycled buffer's heap capacity.
-  WireRef wire = co_await port->wire_pool().Allocate();
+  // The ONE serialization on the transmit side; the encode reuses the
+  // recycled wire buffer's heap capacity.
   EncodeSegmentInto(*ref, StreamField::kOmitted, &wire->bytes);
   ref.Reset();  // the box buffer recycles as soon as serialization completes
   if (deep_copies != nullptr) {
     ++*deep_copies;
   }
-  // Note: every NetTx is built in a named local (or a heap-stable SmallVec
-  // slot, in SendEncodedBatch below) before the co_await; GCC 12
+  // `vcis` may point into a route; a send below can wait on the interface
+  // while a command rewrites that route.
+  SmallVec<Vci, 16> targets;
+  for (Vci vci : vcis) {
+    targets.push_back(vci);
+  }
+  // Note: every NetTx is built in a named local before the co_await; GCC 12
   // miscompiles move-only aggregate temporaries materialized inside
-  // co_await argument expressions (the moved-from ref was destroyed as
-  // if still live, double-releasing the buffer).
-  for (size_t i = 0; i + 1 < vcis.size(); ++i) {
+  // co_await argument expressions (the moved-from ref was destroyed as if
+  // still live, double-releasing the buffer).
+  for (size_t i = 0; i + 1 < targets.size(); ++i) {
     NetTx tx;
-    tx.vci = vcis[i];
+    tx.vci = targets[i];
     tx.wire = wire.Dup();
     co_await port->tx().Send(std::move(tx));
   }
   NetTx tx;
-  tx.vci = vcis.back();
+  tx.vci = targets[targets.size() - 1];
   tx.wire = std::move(wire);
   co_await port->tx().Send(std::move(tx));
-}
-
-Task<void> SendEncodedBatch(AtmPort* port, SmallVec<SegmentRef, kIoBatchInline>& segments,
-                            StreamTable* table, uint64_t* deep_copies, uint64_t* fanout_sent) {
-  PANDORA_CHECK(!segments.empty(), "wire send with an empty batch");
-  // Allocation burst: take every free wire buffer synchronously; only a
-  // starved pool parks us on the allocator (and then only for the buffers
-  // the burst could not cover).  Wire-pool back pressure thus still lands
-  // here, before any box segment buffer is given up.
-  SmallVec<WireRef, kIoBatchInline> wires;
-  for (size_t i = 0; i < segments.size(); ++i) {
-    wires.push_back(co_await port->wire_pool().Allocate());
-  }
-  // Encode pass: the ONE serialization per segment, back to back over the
-  // burst; each box buffer recycles the moment its bytes are on the image.
-  SmallVec<StreamId, kIoBatchInline> streams;
-  for (size_t i = 0; i < segments.size(); ++i) {
-    streams.push_back(segments[i]->stream);
-    EncodeSegmentInto(*segments[i], StreamField::kOmitted, &wires[i]->bytes);
-    segments[i].Reset();
-    if (deep_copies != nullptr) {
-      ++*deep_copies;
-    }
-  }
-  segments.clear();
-  // Ship pass: one NetTx per (segment, VCI), fanout sharing each encoded
-  // image by Dup().  The suspension-safety note in SendEncodedSegment
-  // applies here too: each NetTx lives in the SmallVec (heap-stable slots
-  // within one co_await) or a named local, never in a co_await temporary.
-  SmallVec<NetTx, kIoBatchInline> txs;
-  for (size_t i = 0; i < streams.size(); ++i) {
-    const StreamRoute* route = table != nullptr ? table->Find(streams[i]) : nullptr;
-    if (route != nullptr && !route->out_vcis.empty()) {
-      for (size_t v = 0; v + 1 < route->out_vcis.size(); ++v) {
-        txs.push_back(NetTx{route->out_vcis[v], wires[i].Dup()});
-      }
-      txs.push_back(NetTx{route->out_vcis.back(), std::move(wires[i])});
-      if (fanout_sent != nullptr) {
-        *fanout_sent += route->out_vcis.size();
-      }
-    } else {
-      txs.push_back(NetTx{streams[i], std::move(wires[i])});
-      if (fanout_sent != nullptr) {
-        ++*fanout_sent;
-      }
-    }
-  }
-  wires.clear();
-  while (!txs.empty()) {
-    // A parked tx receiver takes what it can without a suspension; the rest
-    // go one at a time through the rendezvous (the interface gate meters
-    // them out in simulated time anyway).
-    if (port->tx().TrySendBatch(txs) > 0) {
-      continue;
-    }
-    NetTx tx = std::move(txs[0]);
-    txs.pop_front_n(1);
-    co_await port->tx().Send(std::move(tx));
-  }
 }
 
 NetworkOutput::NetworkOutput(Scheduler* sched, NetworkOutputOptions options, StreamTable* table,
@@ -147,7 +92,6 @@ bool NetworkOutput::Accept(SegmentRef& ref) {
 }
 
 Process NetworkOutput::SenderProc() {
-  SmallVec<SegmentRef, kIoBatchInline> batch;
   for (;;) {
     Alt alt(sched_);
     if (options_.audio_priority) {
@@ -163,34 +107,25 @@ Process NetworkOutput::SenderProc() {
     int chosen = options_.audio_priority ? raw : 1 - raw;
     // Plain if/else rather than `cond ? co_await a : co_await b`: GCC 12
     // generates incorrect temporary cleanups for co_await inside the
-    // conditional operator, double-releasing the move-only result.  The
-    // batched drain below inherits the same rule: every segment rides a
-    // heap-stable SmallVec slot, never a co_await temporary.
-    DecouplingBuffer* source;
+    // conditional operator, double-releasing the move-only result.
     SegmentRef ref;
     if (chosen == 0) {
       ref = co_await audio_buffer_.output().Receive();
-      source = &audio_buffer_;
     } else {
       ref = co_await video_buffer_.output().Receive();
-      source = &video_buffer_;
     }
-    batch.push_back(std::move(ref));
-    if (options_.batch.max_hold > 0) {
-      // Hold the batch open for a bounded slice of simulated time so more
-      // of the same class accumulates; the boundary is a pure function of
-      // simulated time (deterministic under replay and sharding).
-      co_await sched_->WaitFor(options_.batch.max_hold);
+    // Wire-pool starvation applies back pressure here, before the box's
+    // segment buffer is given up.  The route is read once the wire buffer
+    // is in hand; an unrouted stream's VCI is its stream id.
+    WireRef wire = co_await port_->wire_pool().Allocate();
+    const StreamId stream = ref->stream;
+    const StreamRoute* route = table_ != nullptr ? table_->Find(stream) : nullptr;
+    std::span<const Vci> vcis(&stream, 1);
+    if (route != nullptr && !route->out_vcis.empty()) {
+      vcis = route->out_vcis;
     }
-    if (options_.batch.max_batch > 1) {
-      // FIFO drain of the same class: each take from output() puts the
-      // next queued segment in hand, so the batch walks the queue.  One
-      // wire-pool allocation burst then serves the whole cycle
-      // (SendEncodedBatch).
-      source->output().TryReceiveBatch(batch, options_.batch.max_batch - 1);
-    }
-    co_await SendEncodedBatch(port_, batch, table_, deep_copies_, &sent_);
-    batch.clear();
+    sent_ += vcis.size();
+    co_await SendEncodedSegment(port_, std::move(wire), std::move(ref), vcis, deep_copies_);
     if (deep_copies_ != nullptr) {
       PANDORA_TRACE_COUNTER(sched_->trace(), trace_copies_, options_.name + ".deep_copies",
                             static_cast<int64_t>(*deep_copies_));
@@ -199,55 +134,41 @@ Process NetworkOutput::SenderProc() {
 }
 
 Process NetworkInput::Run() {
-  SmallVec<NetRx, kIoBatchInline> batch;
   for (;;) {
-    // Block for the first wire image, then drain whatever else is already
-    // parked on the rx channel (in-flight deliveries pile up there) into
-    // the same wakeup, bounded by the batch budget (DESIGN.md §15).
-    batch.push_back(co_await port_->rx().Receive());
-    if (options_.batch.max_hold > 0) {
-      co_await sched_->WaitFor(options_.batch.max_hold);
+    NetRx in = co_await port_->rx().Receive();
+    // The ONE decode on the whole path (DESIGN.md §9), done BEFORE taking a
+    // buffer so malformed wire images cannot consume this box's pool.  It
+    // lands in a scratch segment this process owns; see the swap below.
+    const char* error = nullptr;
+    const bool ok =
+        DecodeSegmentInto(in.wire->bytes, StreamField::kOmitted, in.vci, &scratch_, &error);
+    in.wire.Reset();  // encoded bytes go back to the source port's pool
+    if (!ok) {
+      // Bit corruption or truncation in flight: the self-describing header
+      // let us reject it here.  Count, report, drop — the sequence gap is
+      // absorbed downstream by the clawback buffer.
+      ++decode_failures_;
+      reporter_.Report("netin.decode_failure", ReportSeverity::kWarning, error,
+                       static_cast<int64_t>(in.vci));
+      PANDORA_TRACE_COUNTER(sched_->trace(), trace_decode_fail_,
+                            options_.name + ".decode_failures",
+                            static_cast<int64_t>(decode_failures_));
+      continue;
     }
-    if (options_.batch.max_batch > 1) {
-      port_->rx().TryReceiveBatch(batch, options_.batch.max_batch - 1);
+    // Copy into this box's buffer memory ("copy once into memory"); pool
+    // starvation applies back pressure all the way into the network
+    // delivery path.  Only a starved pool parks us.
+    SegmentRef ref = co_await pool_->Allocate();
+    // Swap, not assign: the slot's recycled vectors become the next
+    // scratch, so payload capacity circulates instead of being freed.
+    std::swap(*ref, scratch_);
+    ++received_;
+    if (deep_copies_ != nullptr) {
+      ++*deep_copies_;
+      PANDORA_TRACE_COUNTER(sched_->trace(), trace_copies_, options_.name + ".deep_copies",
+                            static_cast<int64_t>(*deep_copies_));
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      NetRx in = std::move(batch[i]);
-      // The ONE decode on the whole path (DESIGN.md §9), done BEFORE taking
-      // a buffer so malformed wire images cannot consume this box's pool.
-      // It lands in a scratch segment this process owns; see the swap below.
-      const char* error = nullptr;
-      const bool ok =
-          DecodeSegmentInto(in.wire->bytes, StreamField::kOmitted, in.vci, &scratch_, &error);
-      in.wire.Reset();  // encoded bytes go back to the source port's pool
-      if (!ok) {
-        // Bit corruption or truncation in flight: the self-describing header
-        // let us reject it here.  Count, report, drop — the sequence gap is
-        // absorbed downstream by the clawback buffer.
-        ++decode_failures_;
-        reporter_.Report("netin.decode_failure", ReportSeverity::kWarning, error,
-                         static_cast<int64_t>(in.vci));
-        PANDORA_TRACE_COUNTER(sched_->trace(), trace_decode_fail_,
-                              options_.name + ".decode_failures",
-                              static_cast<int64_t>(decode_failures_));
-        continue;
-      }
-      // Copy into this box's buffer memory ("copy once into memory"); pool
-      // starvation applies back pressure all the way into the network
-      // delivery path.  Only a starved pool parks us.
-      SegmentRef ref = co_await pool_->Allocate();
-      // Swap, not assign: the slot's recycled vectors become the next
-      // scratch, so payload capacity circulates instead of being freed.
-      std::swap(*ref, scratch_);
-      ++received_;
-      if (deep_copies_ != nullptr) {
-        ++*deep_copies_;
-        PANDORA_TRACE_COUNTER(sched_->trace(), trace_copies_, options_.name + ".deep_copies",
-                              static_cast<int64_t>(*deep_copies_));
-      }
-      co_await to_switch_->Send(std::move(ref));
-    }
-    batch.clear();
+    co_await to_switch_->Send(std::move(ref));
   }
 }
 

@@ -24,10 +24,9 @@
 #ifndef PANDORA_SRC_SERVER_NETIO_H_
 #define PANDORA_SRC_SERVER_NETIO_H_
 
+#include <span>
 #include <string>
-#include <vector>
 
-#include "src/buffer/small_vec.h"
 #include "src/buffer/decoupling.h"
 #include "src/buffer/pool.h"
 #include "src/control/report.h"
@@ -40,28 +39,16 @@
 
 namespace pandora {
 
-// Encodes `ref` exactly once into `port`'s wire pool and queues one NetTx
-// per VCI; every destination past the first shares the identical encoded
-// bytes via Dup() (the stream field is omitted — the VCI relabels it).
-// The box's segment buffer is released as soon as serialization completes,
-// and `*deep_copies` (when non-null) counts the single serialization pass.
-// `vcis` must be non-empty and outlive the await (callers pass a local).
-Task<void> SendEncodedSegment(AtmPort* port, SegmentRef ref, const std::vector<Vci>& vcis,
-                              uint64_t* deep_copies);
-
-// Inline capacity of the data-plane batch vectors: sized to the default
-// BatchOptions::max_batch so a full burst stays off the heap.
-inline constexpr std::size_t kIoBatchInline = 16;
-
-// Batch form of SendEncodedSegment (DESIGN.md §15): one wire-pool
-// allocation burst covers the whole egress cycle, then one encode pass,
-// then the NetTx fanout ships — batched to any parked tx receiver first,
-// element-at-a-time (time-gated by the interface) for the rest.  Routes are
-// resolved per segment from `table` exactly as the per-element sender does
-// (fallback: the VCI is the stream id); `*fanout_sent` (when non-null)
-// accumulates one count per (segment, VCI) shipped.  Consumes `segments`.
-Task<void> SendEncodedBatch(AtmPort* port, SmallVec<SegmentRef, kIoBatchInline>& segments,
-                            StreamTable* table, uint64_t* deep_copies, uint64_t* fanout_sent);
+// Encodes `ref` exactly once into `wire` (a buffer from `port`'s wire pool)
+// and queues one NetTx per VCI; every destination past the first shares the
+// identical encoded bytes via Dup() (the stream field is omitted — the VCI
+// relabels it).  The box's segment buffer is released as soon as
+// serialization completes, and `*deep_copies` (when non-null) counts the
+// single serialization pass.  `vcis` must be non-empty; it is copied before
+// the first send, so it may point into a route that a command rewrites while
+// a send waits on the interface.
+Task<void> SendEncodedSegment(AtmPort* port, WireRef wire, SegmentRef ref,
+                              std::span<const Vci> vcis, uint64_t* deep_copies);
 
 struct NetworkOutputOptions {
   std::string name = "server.netout";
@@ -69,11 +56,6 @@ struct NetworkOutputOptions {
   size_t video_buffer_capacity = 6;   // small: bound the video delay
   // Principle 2 at the interface; false only for ablation studies.
   bool audio_priority = true;
-  // Egress drain budget per sender wakeup (DESIGN.md §15).  max_batch = 1
-  // restores the legacy one-segment-per-Select path bit for bit; the added
-  // delay a batch can impose on a queued peer class is bounded by
-  // max_batch × wire time, which the bench_batch sweep gates against P7.
-  BatchOptions batch;
 };
 
 class NetworkOutput : private PassiveReceiver<SegmentRef> {
@@ -126,12 +108,6 @@ class NetworkOutput : private PassiveReceiver<SegmentRef> {
 
 struct NetworkInputOptions {
   std::string name = "server.netin";
-  // Ingress drain budget per wakeup: after the blocking receive of the
-  // first wire image, up to max_batch - 1 further images already parked on
-  // the port's rx channel decode in the same wakeup.  max_hold > 0 waits
-  // that much simulated time after the first image before draining —
-  // boundaries stay a pure function of simulated time (DESIGN.md §15).
-  BatchOptions batch;
 };
 
 class NetworkInput {

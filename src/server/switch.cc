@@ -85,7 +85,6 @@ void Switch::HandleCommand(const Command& command) {
 }
 
 Process Switch::Run() {
-  SmallVec<SegmentRef, 16> batch;
   for (;;) {
     // A deferred READY=TRUE needs no guard here: destination buffers are
     // passive, so it waits on the ready channel until the Poll before the
@@ -98,130 +97,109 @@ Process Switch::Run() {
       HandleCommand(command);
       continue;
     }
-    batch.push_back(co_await input_.Receive());
-    if (options_.batch.max_hold > 0) {
-      co_await sched_->WaitFor(options_.batch.max_hold);
+    // Declared before the span, so the span closes first and a buffer the
+    // segment still holds is released after it.
+    SegmentRef ref = co_await input_.Receive();
+    // One span per segment on the switch's own track; handling is strictly
+    // sequential, so B/E pairs nest trivially even though the span crosses
+    // suspension points.
+    PANDORA_TRACE_SPAN(sched_->trace(), trace_seg_site_, options_.name + ".segment");
+    if (cpu_ != nullptr) {
+      co_await cpu_->Consume(options_.segment_cost);
     }
-    if (options_.batch.max_batch > 1) {
-      input_.TryReceiveBatch(batch, options_.batch.max_batch - 1);
+    const StreamId stream = ref->stream;
+    StreamRoute* route = table_.Find(stream);
+    if (route == nullptr) {
+      // Unrouted stream: discarded (and reported — it usually means a race
+      // with teardown or a plumbing mistake).
+      reporter_.Report("switch.unrouted", ReportSeverity::kWarning,
+                       "segment for unknown stream " + std::to_string(stream));
+      continue;
     }
-    for (size_t b = 0; b < batch.size(); ++b) {
-      if (b > 0) {
-        // P4 between every two segments of the burst, exactly as the
-        // unbatched loop's Alt gave commands priority per segment.
-        while (command_.InputReady()) {
-          std::optional<Command> command = command_.TryReceive();
-          if (!command.has_value()) {
-            break;
+    ++route->segments;
+    ++segments_switched_;
+
+    const size_t fanout = route->destinations.size();
+    for (size_t i = 0; i < fanout; ++i) {
+      const DestinationId id = route->destinations[i];
+      Destination* destination = destinations_[static_cast<size_t>(id)].get();
+      destination->sender.Poll();  // absorb any deferred READY=TRUE
+      destination->degrader.MaybeRecover(sched_->now());
+
+      const bool last = (i == fanout - 1);
+      bool drop = false;
+      // The degrader consults the destination's active-stream set; refresh
+      // the cached copy only when routing membership actually changed.
+      if (destination->active_cache_version != table_.version()) {
+        destination->active_cache = table_.ActiveTowards(id);
+        destination->active_cache_version = table_.version();
+      }
+      if (!destination->sender.can_send()) {
+        // Principle 5: never block on a congested destination — the
+        // split-off copies continue; this destination recovers via
+        // sequence numbers.
+        drop = true;
+        destination->degrader.OnBufferFull(sched_->now());
+        PANDORA_TRACE_INSTANT2(sched_->trace(), trace_drop_full_site_,
+                               options_.name + ".drop.backpressure", "stream",
+                               static_cast<int64_t>(stream), "age",
+                               static_cast<int64_t>(route->attrs.open_order));
+      } else if (destination->degrader.ShouldDrop(route->attrs, destination->active_cache)) {
+        // Principles 1-3: sustained overload sheds whole streams in
+        // degradation order rather than shaving every stream equally.
+        drop = true;
+        if (route->attrs.incoming) {
+          if (destination->sheds.incoming++ == 0) {
+            destination->sheds.first_incoming = sched_->now();
           }
-          HandleCommand(*command);
+          ++sheds_incoming_;
+        } else {
+          if (destination->sheds.outgoing++ == 0) {
+            destination->sheds.first_outgoing = sched_->now();
+          }
+          ++sheds_outgoing_;
         }
-      }
-      // Declared before the span, so the span closes first and a buffer the
-      // segment still holds is released after it.
-      SegmentRef ref = std::move(batch[b]);
-      // One span per segment on the switch's own track; handling is strictly
-      // sequential, so B/E pairs nest trivially even though the span crosses
-      // suspension points.
-      PANDORA_TRACE_SPAN(sched_->trace(), trace_seg_site_, options_.name + ".segment");
-      if (cpu_ != nullptr) {
-        co_await cpu_->Consume(options_.segment_cost);
-      }
-      const StreamId stream = ref->stream;
-      StreamRoute* route = table_.Find(stream);
-      if (route == nullptr) {
-        // Unrouted stream: discarded (and reported — it usually means a race
-        // with teardown or a plumbing mistake).
-        reporter_.Report("switch.unrouted", ReportSeverity::kWarning,
-                         "segment for unknown stream " + std::to_string(stream));
-        continue;
-      }
-      ++route->segments;
-      ++segments_switched_;
-
-      const size_t fanout = route->destinations.size();
-      for (size_t i = 0; i < fanout; ++i) {
-        const DestinationId id = route->destinations[i];
-        Destination* destination = destinations_[static_cast<size_t>(id)].get();
-        destination->sender.Poll();  // absorb any deferred READY=TRUE
-        destination->degrader.MaybeRecover(sched_->now());
-
-        const bool last = (i == fanout - 1);
-        bool drop = false;
-        // The degrader consults the destination's active-stream set; refresh
-        // the cached copy only when routing membership actually changed.
-        if (destination->active_cache_version != table_.version()) {
-          destination->active_cache = table_.ActiveTowards(id);
-          destination->active_cache_version = table_.version();
-        }
-        if (!destination->sender.can_send()) {
-          // Principle 5: never block on a congested destination — the
-          // split-off copies continue; this destination recovers via
-          // sequence numbers.
-          drop = true;
-          destination->degrader.OnBufferFull(sched_->now());
-          PANDORA_TRACE_INSTANT2(sched_->trace(), trace_drop_full_site_,
-                                 options_.name + ".drop.backpressure", "stream",
+        // Degradation decision, split by stream kind; "age" is the route's
+        // open order (P3 sheds the most recently opened first).
+        if (route->attrs.audio) {
+          PANDORA_TRACE_INSTANT2(sched_->trace(), trace_shed_audio_site_,
+                                 options_.name + ".drop.degrade.audio", "stream",
                                  static_cast<int64_t>(stream), "age",
                                  static_cast<int64_t>(route->attrs.open_order));
-        } else if (destination->degrader.ShouldDrop(route->attrs, destination->active_cache)) {
-          // Principles 1-3: sustained overload sheds whole streams in
-          // degradation order rather than shaving every stream equally.
-          drop = true;
-          if (route->attrs.incoming) {
-            if (destination->sheds.incoming++ == 0) {
-              destination->sheds.first_incoming = sched_->now();
-            }
-            ++sheds_incoming_;
-          } else {
-            if (destination->sheds.outgoing++ == 0) {
-              destination->sheds.first_outgoing = sched_->now();
-            }
-            ++sheds_outgoing_;
-          }
-          // Degradation decision, split by stream kind; "age" is the route's
-          // open order (P3 sheds the most recently opened first).
-          if (route->attrs.audio) {
-            PANDORA_TRACE_INSTANT2(sched_->trace(), trace_shed_audio_site_,
-                                   options_.name + ".drop.degrade.audio", "stream",
-                                   static_cast<int64_t>(stream), "age",
-                                   static_cast<int64_t>(route->attrs.open_order));
-          } else {
-            PANDORA_TRACE_INSTANT2(sched_->trace(), trace_shed_video_site_,
-                                   options_.name + ".drop.degrade.video", "stream",
-                                   static_cast<int64_t>(stream), "age",
-                                   static_cast<int64_t>(route->attrs.open_order));
-          }
-        }
-        if (drop) {
-          ++destination->drops;
-          ++route->drops;
-          ++segments_dropped_;
-          destination->sender.CountDrop();
-          reporter_.Report("switch.dropped." + destination->name, ReportSeverity::kWarning,
-                           "discarding traffic for congested output " + destination->name,
-                           static_cast<int64_t>(destination->drops));
-          continue;
-        }
-        // The common case passes the reference on; extra destinations take
-        // a duplicate (reference count increment).  Hoisted to a named
-        // local: GCC 12 destroys stale bitwise snapshots of owning argument
-        // temporaries inside co_await expressions that suspend.
-        SegmentRef to_send = last ? std::move(ref) : ref.Dup();
-        co_await destination->sender.Send(std::move(to_send));
-        // Re-fetch after each suspension: destination and route point into
-        // switch-owned tables, and a rendezvous wait is exactly when a
-        // routing command (or, once shards run in parallel, another thread)
-        // can rewrite them.
-        destination = destinations_[static_cast<size_t>(id)].get();
-        co_await destination->sender.ConsumeReadySignal();
-        route = table_.Find(stream);
-        if (route == nullptr) {
-          break;  // stream closed mid-fanout; remaining copies are moot
+        } else {
+          PANDORA_TRACE_INSTANT2(sched_->trace(), trace_shed_video_site_,
+                                 options_.name + ".drop.degrade.video", "stream",
+                                 static_cast<int64_t>(stream), "age",
+                                 static_cast<int64_t>(route->attrs.open_order));
         }
       }
+      if (drop) {
+        ++destination->drops;
+        ++route->drops;
+        ++segments_dropped_;
+        destination->sender.CountDrop();
+        reporter_.Report("switch.dropped." + destination->name, ReportSeverity::kWarning,
+                         "discarding traffic for congested output " + destination->name,
+                         static_cast<int64_t>(destination->drops));
+        continue;
+      }
+      // The common case passes the reference on; extra destinations take
+      // a duplicate (reference count increment).  Hoisted to a named
+      // local: GCC 12 destroys stale bitwise snapshots of owning argument
+      // temporaries inside co_await expressions that suspend.
+      SegmentRef to_send = last ? std::move(ref) : ref.Dup();
+      co_await destination->sender.Send(std::move(to_send));
+      // Re-fetch after each suspension: destination and route point into
+      // switch-owned tables, and a rendezvous wait is exactly when a
+      // routing command (or, once shards run in parallel, another thread)
+      // can rewrite them.
+      destination = destinations_[static_cast<size_t>(id)].get();
+      co_await destination->sender.ConsumeReadySignal();
+      route = table_.Find(stream);
+      if (route == nullptr) {
+        break;  // stream closed mid-fanout; remaining copies are moot
+      }
     }
-    batch.clear();
   }
 }
 

@@ -41,13 +41,6 @@ struct SwitchOptions {
   // Per-segment handling cost on the server CPU (header inspect + copy).
   Duration segment_cost = Micros(20);
   AdaptiveDegrader::Options degrade;
-  // Data drain budget per Select (DESIGN.md §15): after the first segment,
-  // up to max_batch - 1 more already-parked senders drain in the same
-  // wakeup.  Commands still pre-empt between every two segments (P4), and
-  // each segment still pays segment_cost on the CPU, so the batch adds no
-  // simulated delay beyond what the unbatched switch already charged.
-  // max_batch = 1 restores the one-segment-per-Select path.
-  BatchOptions batch;
 };
 
 class Switch {
@@ -123,9 +116,9 @@ class Switch {
     uint64_t active_cache_version = 0;
   };
 
-  // One loop: select, then switch the received segment plus any batch that
-  // rode along in the same wakeup.  Per-segment handling is inline, so a
-  // segment costs no coroutine frame (DESIGN.md §10.6).
+  // One loop: select, then switch the one received segment.  Per-segment
+  // handling is inline, so a segment costs no coroutine frame (DESIGN.md
+  // §10.6).
   Process Run();
   void HandleCommand(const Command& command);
 

@@ -261,7 +261,7 @@ TEST_F(DataPathAllocTest, TwoWayAudioCallFramesPerSwitchedSegment) {
   const uint64_t frames = FramePool::allocations() - frames_before;
   const uint64_t switched = Switched() - switched_before;
   EXPECT_GE(switched, 10'000u);
-  // The one frame left per segment is the egress encode (SendEncodedBatch).
+  // The one frame left per segment is the egress encode (SendEncodedSegment).
   EXPECT_LE(frames, switched) << frames << " coroutine frames for " << switched
                               << " switched segments";
 }

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/buffer/small_vec.h"
 #include "src/runtime/alt.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/process.h"
@@ -643,220 +642,6 @@ TEST(ChannelAltWaiterTest, UnregisterDuringNotifyDoesNotInvalidateIteration) {
   EXPECT_EQ(third.notifications, 1);
   ch.UnregisterAltWaiter(&third);
   EXPECT_TRUE(ch.TryReceive().has_value());
-}
-
-TEST(ChannelBatchTest, TryReceiveBatchOnEmptyChannelDrainsNothing) {
-  Scheduler sched;
-  Channel<int> ch(&sched, "ch");
-  SmallVec<int, 8> out;
-  EXPECT_EQ(ch.TryReceiveBatch(out, 8), 0);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(sched.events(), sched.context_switches());
-}
-
-TEST(ChannelBatchTest, TryReceiveBatchDrainsParkedSendersFifo) {
-  Scheduler sched;
-  Channel<int> ch(&sched, "ch");
-  int finished = 0;
-  auto sender = [](Channel<int>* c, int id, int* done) -> Process {
-    co_await c->Send(id);
-    ++*done;
-  };
-  for (int i = 0; i < 5; ++i) {
-    sched.Spawn(sender(&ch, i, &finished), "tx");
-  }
-  sched.RunUntilQuiescent();  // all five park
-  ASSERT_EQ(ch.waiting_senders(), 5u);
-
-  SmallVec<int, 8> out;
-  EXPECT_EQ(ch.TryReceiveBatch(out, 8), 5);
-  ASSERT_EQ(out.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(out[static_cast<size_t>(i)], i);  // FIFO: park order preserved
-  }
-  EXPECT_EQ(ch.waiting_senders(), 0u);
-  // Elements beyond the first replaced whole dispatches in the unbatched
-  // engine and are credited to events() (DESIGN.md §15 accounting).
-  EXPECT_EQ(sched.events(), sched.context_switches() + 4);
-  sched.RunUntilQuiescent();  // woken senders finish
-  EXPECT_EQ(finished, 5);
-}
-
-TEST(ChannelBatchTest, TryReceiveBatchRespectsMaxAndLeavesTailParked) {
-  Scheduler sched;
-  Channel<int> ch(&sched, "ch");
-  auto sender = [](Channel<int>* c, int id) -> Process { co_await c->Send(id); };
-  for (int i = 0; i < 5; ++i) {
-    sched.Spawn(sender(&ch, i), "tx");
-  }
-  sched.RunUntilQuiescent();
-
-  SmallVec<int, 8> out;
-  EXPECT_EQ(ch.TryReceiveBatch(out, 2), 2);
-  EXPECT_EQ(ch.waiting_senders(), 3u);
-  EXPECT_EQ(ch.TryReceiveBatch(out, 8), 3);  // appends after existing contents
-  ASSERT_EQ(out.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(out[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST(ChannelBatchTest, TryReceiveBatchSurvivesRingWraparoundAndSpill) {
-  // Repeated park/drain rounds walk the sender ring's head past its initial
-  // capacity (wraparound), and a 4-inline SmallVec receiving 6 elements per
-  // round must spill to the heap without losing order.
-  Scheduler sched;
-  Channel<int> ch(&sched, "ch");
-  auto sender = [](Channel<int>* c, int id) -> Process { co_await c->Send(id); };
-  int next_id = 0;
-  for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < 6; ++i) {
-      sched.Spawn(sender(&ch, next_id++), "tx");
-    }
-    sched.RunUntilQuiescent();
-    ASSERT_EQ(ch.waiting_senders(), 6u);
-    SmallVec<int, 4> out;
-    EXPECT_EQ(ch.TryReceiveBatch(out, 6), 6);
-    ASSERT_EQ(out.size(), 6u);
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_EQ(out[static_cast<size_t>(i)], round * 6 + i);
-    }
-    sched.RunUntilQuiescent();
-  }
-  EXPECT_EQ(ch.transfers(), 24u);
-}
-
-TEST(ChannelBatchTest, TrySendBatchDeliversPrefixToParkedReceivers) {
-  Scheduler sched;
-  Channel<int> ch(&sched, "ch");
-  std::vector<int> got;
-  auto receiver = [](Channel<int>* c, std::vector<int>* out) -> Process {
-    out->push_back(co_await c->Receive());
-  };
-  for (int i = 0; i < 3; ++i) {
-    sched.Spawn(receiver(&ch, &got), "rx");
-  }
-  sched.RunUntilQuiescent();  // all three park
-  ASSERT_EQ(ch.waiting_receivers(), 3u);
-
-  SmallVec<int, 8> values;
-  for (int i = 0; i < 5; ++i) {
-    values.push_back(10 + i);
-  }
-  EXPECT_EQ(ch.TrySendBatch(values), 3);
-  // The consumed prefix is popped; the unsent tail stays in order.
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values[0], 13);
-  EXPECT_EQ(values[1], 14);
-  sched.RunUntilQuiescent();
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0], 10);
-  EXPECT_EQ(got[1], 11);
-  EXPECT_EQ(got[2], 12);
-}
-
-TEST(ChannelBatchTest, TrySendBatchWithoutReceiversIsANoOp) {
-  Scheduler sched;
-  Channel<int> ch(&sched, "ch");
-  SmallVec<int, 4> values;
-  values.push_back(1);
-  values.push_back(2);
-  EXPECT_EQ(ch.TrySendBatch(values), 0);
-  EXPECT_EQ(values.size(), 2u);  // nothing consumed, nothing destroyed
-  EXPECT_EQ(ch.transfers(), 0u);
-}
-
-TEST(ChannelBatchTest, TrySendBatchRespectsExplicitMax) {
-  Scheduler sched;
-  Channel<int> ch(&sched, "ch");
-  std::vector<int> got;
-  auto receiver = [](Channel<int>* c, std::vector<int>* out) -> Process {
-    out->push_back(co_await c->Receive());
-  };
-  for (int i = 0; i < 3; ++i) {
-    sched.Spawn(receiver(&ch, &got), "rx");
-  }
-  sched.RunUntilQuiescent();
-  SmallVec<int, 8> values;
-  for (int i = 0; i < 5; ++i) {
-    values.push_back(i);
-  }
-  EXPECT_EQ(ch.TrySendBatch(values, 2), 2);
-  EXPECT_EQ(values.size(), 3u);
-  EXPECT_EQ(ch.waiting_receivers(), 1u);
-}
-
-TEST(ChannelBatchTest, BatchDrainInterleavesWithAltWaiters) {
-  // An Alt parked on the channel is notified the moment the first sender
-  // parks and wins that value; a batch drainer arriving later must harvest
-  // exactly the values the Alt did not take — no double delivery, no skip,
-  // and FIFO order among what remains.  The late fourth send finds neither
-  // and stays parked (a plain TryReceive completes it).
-  Scheduler sched;
-  Channel<int> ch(&sched, "ch");
-  std::vector<int> drained;
-  int alt_got = -1;
-  bool alt_parked_once = false;
-
-  auto alt_worker = [](Scheduler* s, Channel<int>* c, int* out, bool* parked) -> Process {
-    *parked = true;
-    Alt alt(s);
-    alt.OnReceive(*c);
-    (void)co_await alt.Select();
-    std::optional<int> v = c->TryReceive();
-    *out = v.value_or(-2);
-  };
-  auto sender = [](Scheduler* s, Channel<int>* c, int id, Duration delay) -> Process {
-    co_await s->WaitFor(delay);
-    co_await c->Send(id);
-  };
-  auto drainer = [](Scheduler* s, Channel<int>* c, std::vector<int>* out) -> Process {
-    co_await s->WaitFor(Micros(10));  // after the Alt consumed its winner
-    SmallVec<int, 8> batch;
-    c->TryReceiveBatch(batch, 8);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      out->push_back(batch[i]);
-    }
-  };
-  sched.Spawn(alt_worker(&sched, &ch, &alt_got, &alt_parked_once), "alt");
-  for (int i = 0; i < 3; ++i) {
-    sched.Spawn(sender(&sched, &ch, i, Micros(5)), "tx");
-  }
-  sched.Spawn(sender(&sched, &ch, 99, Micros(20)), "late-tx");
-  sched.Spawn(drainer(&sched, &ch, &drained), "drain");
-  sched.RunUntilQuiescent();
-
-  EXPECT_TRUE(alt_parked_once);
-  EXPECT_EQ(alt_got, 0);  // the Alt won the first parked value
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0], 1);
-  EXPECT_EQ(drained[1], 2);
-  ASSERT_EQ(ch.waiting_senders(), 1u);  // the late send found no taker
-  std::optional<int> late = ch.TryReceive();
-  ASSERT_TRUE(late.has_value());
-  EXPECT_EQ(*late, 99);
-}
-
-TEST(ChannelBatchTest, MoveOnlyPayloadRoundTripsThroughBatch) {
-  Scheduler sched;
-  Channel<std::unique_ptr<int>> ch(&sched, "ch");
-  auto sender = [](Channel<std::unique_ptr<int>>* c, int v) -> Process {
-    co_await c->Send(std::make_unique<int>(v));
-  };
-  for (int i = 0; i < 3; ++i) {
-    sched.Spawn(sender(&ch, 100 + i), "tx");
-  }
-  sched.RunUntilQuiescent();
-  SmallVec<std::unique_ptr<int>, 2> out;  // spills: move-only heap growth path
-  EXPECT_EQ(ch.TryReceiveBatch(out, 8), 3);
-  ASSERT_EQ(out.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_NE(out[static_cast<size_t>(i)], nullptr);
-    EXPECT_EQ(*out[static_cast<size_t>(i)], 100 + i);
-  }
-  out.pop_front_n(2);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(*out[0], 102);
 }
 
 TEST(ResourceTest, SerialResourceQueuesFifo) {

@@ -436,5 +436,65 @@ TEST(NetworkOutputTest, SaturatedInterfaceDropsVideoNotAudio) {
   EXPECT_GT(reports.CountOf("netout.video_drop"), 0u);
 }
 
+TEST(NetworkOutputTest, PaperScaleUplinkShedsVideoNotAudio) {
+  // E9's uplink at unit scale: raw 320x240 video in quarter-frame segments
+  // (19.2 KB, about 77 ms each on a 2 Mbit/s interface) at 25 fps, and a
+  // 4 ms audio cadence, with the default 64-slot audio and 6-slot video
+  // buffers.  Audio waits behind at most one video segment on the wire, so
+  // its buffer never fills; a sender that shipped the queued video as one
+  // burst (over 500 ms) would overflow the 256 ms of audio buffering.
+  ShardSet set;
+  Scheduler& sched = set.scheduler();
+  BufferPool pool(&sched, "pool", 256);
+  AtmNetwork net(&set);
+  AtmPort* src = net.AddPort("src", 2'000'000);
+  AtmPort* dst = net.AddPort("dst");
+  StreamTable table;
+  NetworkOutput netout(&sched, {.name = "no"}, &table, src);
+  ShutdownGuard guard(&sched);
+  netout.Start();
+  net.OpenCircuit(src, 1, dst);
+  net.OpenCircuit(src, 2, dst);
+
+  auto sink = [](AtmPort* port) -> Process {
+    for (;;) {
+      (void)co_await port->rx().Receive();
+    }
+  };
+  auto feeder = [](Scheduler* s, BufferPool* pool, NetworkOutput* no) -> Process {
+    for (uint32_t i = 0; i < 750; ++i) {
+      auto audio = pool->TryAllocate();
+      **audio = MakeAudioSegment(1, i, s->now(), std::vector<uint8_t>(32, 2));
+      co_await no->input().Send(std::move(*audio));
+      (void)co_await no->ready().Receive();
+      if (i % 10 == 0) {
+        // One 320x240 frame every 40 ms, as four 60-line segments.
+        for (uint32_t part = 0; part < 4; ++part) {
+          auto video = pool->TryAllocate();
+          VideoHeader vh;
+          vh.frame_number = i / 10;
+          vh.segments_in_frame = 4;
+          vh.segment_number = part;
+          vh.start_line_y = 60 * part;
+          vh.x_width = 320;
+          vh.line_count = 60;
+          **video = MakeVideoSegment(2, 4 * (i / 10) + part, s->now(), vh,
+                                     std::vector<uint8_t>(320 * 60, 1));
+          co_await no->input().Send(std::move(*video));
+          (void)co_await no->ready().Receive();
+        }
+      }
+      co_await s->WaitFor(Millis(4));
+    }
+  };
+  sched.Spawn(sink(dst), "sink");
+  sched.Spawn(feeder(&sched, &pool, &netout), "feeder");
+  sched.RunFor(Seconds(4));
+  EXPECT_EQ(netout.audio_drops(), 0u);  // P2: audio is never shed
+  EXPECT_EQ(netout.audio_sent(), 750u);
+  EXPECT_GT(netout.video_drops(), 100u);  // ~15 Mbit/s of video on 2 Mbit/s
+  EXPECT_EQ(net.StatsFor(src, 1)->delivered, 750u);
+}
+
 }  // namespace
 }  // namespace pandora

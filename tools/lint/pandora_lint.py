@@ -119,19 +119,6 @@ expensive to debug:
       (FillAudioSegment / FillVideoSegment / DecodeSegmentInto), std::swap a
       scratch segment in, or copy-assign.
 
-  batched-drain
-      A loop that co_awaits Send once per element of a materialized SmallVec
-      batch pays a full dispatch round-trip for every element — the exact
-      overhead the batched pipeline (DESIGN.md section 15) exists to
-      amortize.  Flagged: a for/while loop whose head or body references a
-      SmallVec-typed local or parameter and whose body suspends on
-      .Send(...)/->Send(...), in a function that uses neither batch
-      primitive (TrySendBatch / TryReceiveBatch).
-      Drain the already-parked receivers with TrySendBatch first and fall
-      back to ONE rendezvous Send for the head element
-      (SendEncodedBatch in src/server/netio.cc is the model), or NOLINT
-      with the reason element-at-a-time pacing is intended.
-
 The mutable-global audit (every non-const static in src/ must carry a
 PANDORA_SHARD_LOCAL / PANDORA_SHARD_SHARED annotation) is the cross-file
 sibling of this tool: tools/lint/shard_audit.py.
@@ -730,95 +717,6 @@ def rule_suspension_borrow(ctx, report):
             )
 
 
-# --- rule: batched-drain ------------------------------------------------------
-#
-# Within each function body: collect SmallVec-typed names (locals plus
-# reference parameters), then flag any loop whose head or body mentions one
-# of them while the loop body suspends on a channel Send.  A function that
-# calls TrySendBatch anywhere is exempt — that is the drain-first idiom, and
-# its single Send fallback for the head element is exactly right.
-
-SMALLVEC_NAME_RE = re.compile(
-    r"\bSmallVec\s*<[^;{}()]*>\s*[&*]?\s*(?P<name>[A-Za-z_]\w*)\s*[;,)={(\[]"
-)
-SEND_AWAIT_RE = re.compile(r"\bco_await\b[^;]*(?:\.|->)\s*Send\s*\(")
-
-
-def _loop_head_and_body_spans(body):
-    """(head_start, head_end, body_start, body_end) for for/while loops,
-    including single-statement bodies (no braces)."""
-    spans = []
-    n = len(body)
-    for m in LOOP_HEAD_RE.finditer(body):
-        depth = 0
-        i = m.end() - 1
-        while i < n:
-            if body[i] == "(":
-                depth += 1
-            elif body[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        if i >= n:
-            continue
-        head_start, head_end = m.start(), i + 1
-        j = i + 1
-        while j < n and body[j].isspace():
-            j += 1
-        if j < n and body[j] == "{":
-            close = find_matching_brace(body, j)
-            if close < 0:
-                continue
-            spans.append((head_start, head_end, j + 1, close))
-        else:
-            stmt_end = body.find(";", j)
-            if stmt_end >= 0:
-                spans.append((head_start, head_end, j, stmt_end + 1))
-    return spans
-
-
-def rule_batched_drain(ctx, report):
-    if not ctx.in_src:
-        return
-    code = ctx.code
-    for (open_brace, close_brace) in ctx.function_bodies():
-        body = code[open_brace + 1:close_brace]
-        if not CO_AWAIT_RE.search(body):
-            continue
-        if "TrySendBatch" in body or "TryReceiveBatch" in body:
-            # Already batch-aware: the fallback Send of a drain-first loop,
-            # or an ingress drain whose per-element forwards are harvested
-            # in bulk by the next stage's own TryReceiveBatch.
-            continue
-        # SmallVec names declared in the body or taken as parameters (the
-        # parameter list sits just before the body's opening brace).
-        head_start = max(code.rfind(";", 0, open_brace),
-                         code.rfind("}", 0, open_brace)) + 1
-        scope = code[head_start:open_brace] + body
-        names = {m.group("name") for m in SMALLVEC_NAME_RE.finditer(scope)}
-        if not names:
-            continue
-        name_re = re.compile(r"\b(?:" + "|".join(re.escape(n) for n in sorted(names)) + r")\b")
-        for (hs, he, bs, be) in _loop_head_and_body_spans(body):
-            loop_body = body[bs:be]
-            if not SEND_AWAIT_RE.search(loop_body):
-                continue
-            if not (name_re.search(body[hs:he]) or name_re.search(loop_body)):
-                continue
-            report(
-                line_of(code, open_brace + 1 + hs),
-                "batched-drain",
-                "loop sends a materialized SmallVec batch one co_await at a "
-                "time — a dispatch round-trip per element.  Drain parked "
-                "receivers with TrySendBatch first and fall back to one "
-                "rendezvous Send (DESIGN.md §15; SendEncodedBatch in "
-                "src/server/netio.cc is the model), or NOLINT with the "
-                "reason element-at-a-time pacing is intended",
-            )
-            break  # one finding per function keeps the output actionable
-
-
 # --- rule: unordered-iteration ----------------------------------------------
 
 UNORDERED_DECL_RE = re.compile(
@@ -1009,7 +907,6 @@ RULES = [
     ("std-function-member", rule_std_function_member),
     ("segment-channels", rule_segment_channels),
     ("pooled-segment-assign", rule_pooled_segment_assign),
-    ("batched-drain", rule_batched_drain),
     ("raw-new-delete", rule_raw_new_delete),
     ("trace-macros", rule_trace_macros),
     ("fault-hooks", rule_fault_hooks),
