@@ -5,10 +5,10 @@
 // reproduction mirrors that with a coroutine per forwarded segment, which
 // means a frame allocation on every network event unless frames are
 // recycled.  FramePool backs the pooled `operator new/delete` on
-// Process::promise_type and Task promises: frames are rounded up to a
-// 64-byte granule, capped at 4 KiB (larger frames pass through to the
-// global heap), and freed frames park on a per-class free list so
-// steady-state spawn/exit churn never touches malloc.
+// Process::promise_type: frames are rounded up to a 64-byte granule, capped
+// at 4 KiB (larger frames pass through to the global heap), and freed
+// frames park on a per-class free list so steady-state spawn/exit churn
+// never touches malloc.
 //
 // The free lists are per executor thread (`thread_local`): under the
 // sharded M:N scheduler (src/runtime/shard_set.h) every worker recycles the

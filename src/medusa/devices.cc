@@ -1,5 +1,6 @@
 #include "src/medusa/devices.h"
 
+#include "src/buffer/small_vec.h"
 #include "src/runtime/check.h"
 
 namespace pandora {
@@ -18,6 +19,32 @@ std::unique_ptr<SampleSource> MakeSource(MicKind kind, double frequency, double 
 }
 
 }  // namespace
+
+// --- MedusaDevice ------------------------------------------------------------
+
+Process MedusaDevice::UplinkProc(Channel<SegmentRef>* segments, const std::vector<Vci>* vcis) {
+  for (;;) {
+    SegmentRef ref = co_await segments->Receive();
+    if (vcis->empty()) {
+      continue;  // nobody listening yet: the data is discarded
+    }
+    WireRef wire = co_await port_->wire_pool().Allocate();
+    // Copied before the first send: a listener can be added while a send
+    // waits on the interface.
+    SmallVec<Vci, 16> targets;
+    for (Vci vci : *vcis) {
+      targets.push_back(vci);
+    }
+    EncodeForWire(std::move(ref), wire.get(), &deep_copies_);
+    // Each NetTx is built in a named local (GCC 12: see NetworkOutput).
+    for (size_t i = 0; i < targets.size(); ++i) {
+      NetTx tx;
+      tx.vci = targets[i];
+      tx.wire = i + 1 < targets.size() ? wire.Dup() : std::move(wire);
+      co_await port_->tx().Send(std::move(tx));
+    }
+  }
+}
 
 // --- NetMicrophone -----------------------------------------------------------
 
@@ -41,20 +68,7 @@ void NetMicrophone::Start() {
   started_ = true;
   codec_in_.Start();
   sender_.Start();
-  sched_->Spawn(UplinkProc(), name_ + ".uplink", Priority::kHigh);
-}
-
-Process NetMicrophone::UplinkProc() {
-  for (;;) {
-    SegmentRef ref = co_await segments_.Receive();
-    if (vcis_.empty()) {
-      continue;  // nobody listening yet: the codec data is discarded
-    }
-    // Encode once; every listener's NetTx shares the same wire bytes (the
-    // VCI relabels per circuit).
-    WireRef wire = co_await port_->wire_pool().Allocate();
-    co_await SendEncodedSegment(port_, std::move(wire), std::move(ref), vcis_, &deep_copies_);
-  }
+  sched_->Spawn(UplinkProc(&segments_, &vcis_), name_ + ".uplink", Priority::kHigh);
 }
 
 // --- NetSpeaker --------------------------------------------------------------
@@ -108,18 +122,7 @@ void NetCamera::Start() {
   PANDORA_CHECK(!started_);
   started_ = true;
   capture_.Start();
-  sched_->Spawn(UplinkProc(), name_ + ".uplink", Priority::kHigh);
-}
-
-Process NetCamera::UplinkProc() {
-  for (;;) {
-    SegmentRef ref = co_await segments_.Receive();
-    if (vcis_.empty()) {
-      continue;
-    }
-    WireRef wire = co_await port_->wire_pool().Allocate();
-    co_await SendEncodedSegment(port_, std::move(wire), std::move(ref), vcis_, &deep_copies_);
-  }
+  sched_->Spawn(UplinkProc(&segments_, &vcis_), name_ + ".uplink", Priority::kHigh);
 }
 
 // --- NetDisplay --------------------------------------------------------------

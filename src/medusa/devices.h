@@ -62,6 +62,11 @@ class MedusaDevice {
   uint64_t deep_copies() const { return deep_copies_; }
 
  protected:
+  // Ships every segment from `segments` onto the fabric, one circuit per
+  // VCI in `vcis`: one encode, shared by Dup() across the circuits.
+  // Segments sent while nobody listens are discarded.
+  Process UplinkProc(Channel<SegmentRef>* segments, const std::vector<Vci>* vcis);
+
   Scheduler* sched_;
   std::string name_;
   AtmPort* port_;
@@ -96,8 +101,6 @@ class NetMicrophone : public MedusaDevice {
   uint64_t segments_sent() const { return sender_.segments_sent(); }
 
  private:
-  Process UplinkProc();
-
   Options options_;
   std::unique_ptr<SampleSource> source_;
   Channel<AudioBlock> blocks_;
@@ -169,8 +172,6 @@ class NetCamera : public MedusaDevice {
   VideoCapture& capture() { return capture_; }
 
  private:
-  Process UplinkProc();
-
   Options options_;
   MovingBarPattern pattern_;
   FrameStore framestore_;

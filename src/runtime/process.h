@@ -48,7 +48,7 @@ struct ProcessCtx {
 
   // Top-level coroutine frame; destroyed by the Scheduler.
   std::coroutine_handle<> top;
-  // Innermost suspended frame to resume next (may belong to a nested Task).
+  // Frame to resume at the next dispatch; null while the process runs.
   std::coroutine_handle<> resume_point;
   // The Alt this process is parked in, inside Select; null otherwise.  A
   // dispatch of a parked process first asks the Alt to rescan its guards
@@ -165,15 +165,6 @@ class ProcessHandle {
     return stale() ? kRecycled : ctx_->name;
   }
   uint64_t resumptions() const { return stale() ? 0 : ctx_->resumptions; }
-
-  // Rethrows the process's unhandled exception, if it still holds one.  The
-  // scheduler re-throws every process error out of the Run* call that
-  // observed it and clears it there, so a handle read afterwards is clean.
-  void CheckError() const {
-    if (ctx_ != nullptr && !stale() && ctx_->error) {
-      std::rethrow_exception(ctx_->error);
-    }
-  }
 
  private:
   friend class Scheduler;

@@ -207,7 +207,7 @@ size_t Scheduler::KillProcesses(const std::function<bool(const ProcessCtx&)>& pr
   }
   // Destroy the victims' frames.  This runs the destructors of everything
   // the frame holds: SegmentRefs go back to their pools, Alts unregister
-  // from their guard channels, nested Task frames cascade.
+  // from their guard channels.
   for (ProcessCtx* ctx : victims) {
     ctx->top.destroy();
     ctx->top = nullptr;

@@ -26,7 +26,7 @@
 // t >= min(next event) = W - lookahead + 1, so deliveries land strictly
 // after W — no shard can have run past a message it should have seen.
 // Lookahead therefore must not exceed the minimum cross-shard link latency;
-// in the Pandora world that latency comes free from LinkModel/HopQuality
+// in the Pandora world that latency comes free from LinkRelay/HopQuality
 // (cross-shard traffic always crosses a link with nonzero delay).
 //
 // Determinism: within a window each shard's dispatch order is a pure

@@ -9,36 +9,12 @@
 
 namespace pandora {
 
-Task<void> SendEncodedSegment(AtmPort* port, WireRef wire, SegmentRef ref,
-                              std::span<const Vci> vcis, uint64_t* deep_copies) {
-  PANDORA_CHECK(!vcis.empty(), "wire send with no destination VCI");
-  // The ONE serialization on the transmit side; the encode reuses the
-  // recycled wire buffer's heap capacity.
+void EncodeForWire(SegmentRef ref, WireBuffer* wire, uint64_t* deep_copies) {
   EncodeSegmentInto(*ref, StreamField::kOmitted, &wire->bytes);
-  ref.Reset();  // the box buffer recycles as soon as serialization completes
+  ref.Reset();
   if (deep_copies != nullptr) {
     ++*deep_copies;
   }
-  // `vcis` may point into a route; a send below can wait on the interface
-  // while a command rewrites that route.
-  SmallVec<Vci, 16> targets;
-  for (Vci vci : vcis) {
-    targets.push_back(vci);
-  }
-  // Note: every NetTx is built in a named local before the co_await; GCC 12
-  // miscompiles move-only aggregate temporaries materialized inside
-  // co_await argument expressions (the moved-from ref was destroyed as if
-  // still live, double-releasing the buffer).
-  for (size_t i = 0; i + 1 < targets.size(); ++i) {
-    NetTx tx;
-    tx.vci = targets[i];
-    tx.wire = wire.Dup();
-    co_await port->tx().Send(std::move(tx));
-  }
-  NetTx tx;
-  tx.vci = targets[targets.size() - 1];
-  tx.wire = std::move(wire);
-  co_await port->tx().Send(std::move(tx));
 }
 
 NetworkOutput::NetworkOutput(Scheduler* sched, NetworkOutputOptions options, StreamTable* table,
@@ -118,14 +94,30 @@ Process NetworkOutput::SenderProc() {
     // segment buffer is given up.  The route is read once the wire buffer
     // is in hand; an unrouted stream's VCI is its stream id.
     WireRef wire = co_await port_->wire_pool().Allocate();
-    const StreamId stream = ref->stream;
-    const StreamRoute* route = table_ != nullptr ? table_->Find(stream) : nullptr;
-    std::span<const Vci> vcis(&stream, 1);
+    // The VCIs are copied out of the route before the first send: a send
+    // can wait on the interface while a command rewrites or closes it.
+    SmallVec<Vci, 16> targets;
+    const StreamRoute* route = table_ != nullptr ? table_->Find(ref->stream) : nullptr;
     if (route != nullptr && !route->out_vcis.empty()) {
-      vcis = route->out_vcis;
+      for (Vci vci : route->out_vcis) {
+        targets.push_back(vci);
+      }
+    } else {
+      targets.push_back(ref->stream);
     }
-    sent_ += vcis.size();
-    co_await SendEncodedSegment(port_, std::move(wire), std::move(ref), vcis, deep_copies_);
+    sent_ += targets.size();
+    EncodeForWire(std::move(ref), wire.get(), deep_copies_);
+    // Every destination but the last gets a Dup() of the encoded bytes.
+    // Each NetTx is built in a named local before the co_await: GCC 12
+    // miscompiles move-only aggregate temporaries materialized inside
+    // co_await argument expressions (the moved-from ref was destroyed as if
+    // still live, double-releasing the buffer).
+    for (size_t i = 0; i < targets.size(); ++i) {
+      NetTx tx;
+      tx.vci = targets[i];
+      tx.wire = i + 1 < targets.size() ? wire.Dup() : std::move(wire);
+      co_await port_->tx().Send(std::move(tx));
+    }
     if (deep_copies_ != nullptr) {
       PANDORA_TRACE_COUNTER(sched_->trace(), trace_copies_, options_.name + ".deep_copies",
                             static_cast<int64_t>(*deep_copies_));

@@ -24,7 +24,6 @@
 #ifndef PANDORA_SRC_SERVER_NETIO_H_
 #define PANDORA_SRC_SERVER_NETIO_H_
 
-#include <span>
 #include <string>
 
 #include "src/buffer/decoupling.h"
@@ -34,21 +33,17 @@
 #include "src/runtime/alt.h"
 #include "src/runtime/check.h"
 #include "src/runtime/scheduler.h"
-#include "src/runtime/task.h"
 #include "src/server/stream_table.h"
 
 namespace pandora {
 
-// Encodes `ref` exactly once into `wire` (a buffer from `port`'s wire pool)
-// and queues one NetTx per VCI; every destination past the first shares the
-// identical encoded bytes via Dup() (the stream field is omitted — the VCI
-// relabels it).  The box's segment buffer is released as soon as
-// serialization completes, and `*deep_copies` (when non-null) counts the
-// single serialization pass.  `vcis` must be non-empty; it is copied before
-// the first send, so it may point into a route that a command rewrites while
-// a send waits on the interface.
-Task<void> SendEncodedSegment(AtmPort* port, WireRef wire, SegmentRef ref,
-                              std::span<const Vci> vcis, uint64_t* deep_copies);
+// The ONE serialization on the transmit side: encodes `ref` into `wire` (a
+// recycled buffer from a port's wire pool, whose heap capacity the encode
+// reuses), releases the box's segment buffer as soon as serialization
+// completes, and counts the pass in `*deep_copies` when non-null.  The
+// stream field is omitted, so every destination's NetTx can share the same
+// bytes by Dup(): the VCI relabels it.
+void EncodeForWire(SegmentRef ref, WireBuffer* wire, uint64_t* deep_copies);
 
 struct NetworkOutputOptions {
   std::string name = "server.netout";

@@ -61,8 +61,15 @@ class VideoCapture {
 
  private:
   Process Run();
-  Task<void> CaptureFrame(uint32_t frame_number);
   void HandleCommand(const Command& command);
+  // Compresses read_ (one strip) line by line into strip_, keeping its last
+  // line as the vertical-delta reference for the next strip.
+  void CompressStrip(const Rect& strip_rect, bool cross_strip);
+  // Pushes the next slice of strip_ (from `*offset`, at most lines_left
+  // lines) and its description; returns the slice's line count.
+  int PushNextSlice(int width, int lines_left, size_t* offset);
+  // Builds strip_ into frame frame_counter_'s segment number `strip`.
+  void FillStripSegment(Segment* segment, int strip, const Rect& strip_rect);
   // Pushes slice_ into the compression engine; the slice that emerges
   // becomes the next slice_, so slice storage circulates.
   void PushSlice();

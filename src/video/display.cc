@@ -86,62 +86,9 @@ bool VideoDisplay::DecompressInto(const Segment& segment, Assembly* assembly) {
   return true;
 }
 
-Task<void> VideoDisplay::DisplayFrame(StreamId stream, Assembly& assembly) {
-  // Union of rows touched, for scan avoidance.
-  int top = options_.height;
-  int bottom = 0;
-  for (size_t i = 0; i < assembly.part_count; ++i) {
-    const Rect& rect = assembly.parts[i].rect;
-    top = std::min(top, rect.y);
-    bottom = std::max(bottom, rect.y + rect.height);
-  }
-
-  if (!options_.scan_aware_copy) {
-    // A naive blit lands wherever the scan happens to be: if the scan is
-    // sweeping the region's rows, part of the old frame is still being
-    // shown below it while we overwrite above — a visible tear.
-    int scan = ScanLineAt(sched_->now());
-    if (scan > top && scan < bottom) {
-      ++tears_;
-      reporter_.Report("display.tear", ReportSeverity::kWarning,
-                       "blit crossed the display scan", static_cast<int64_t>(stream));
-    }
-  }
-  // Scan-aware copy needs no waiting: "the ability to schedule processes
-  // with precisions of a few microseconds allows us to make full use of our
-  // knowledge of the display scan, copying frames both in front of and
-  // behind the scan" — every row is written either after the scan passed it
-  // or before the scan reaches it, so the copy never tears.
-
-  co_await sched_->WaitFor(options_.copy_duration);
-  for (size_t i = 0; i < assembly.part_count; ++i) {
-    const Part& part = assembly.parts[i];
-    // Clip the part's columns to the screen once, then copy row spans.
-    const int64_t x0 = std::max<int64_t>(part.rect.x, 0);
-    const int64_t x1 = std::min<int64_t>(int64_t{part.rect.x} + part.rect.width, options_.width);
-    if (x0 >= x1) {
-      continue;
-    }
-    for (int row = 0; row < part.rect.height; ++row) {
-      const int64_t y = int64_t{part.rect.y} + row;
-      if (y < 0 || y >= options_.height) {
-        continue;
-      }
-      std::memcpy(screen_.data() + y * options_.width + x0,
-                  part.pixels.data() + static_cast<size_t>(row) * part.rect.width +
-                      (x0 - part.rect.x),
-                  static_cast<size_t>(x1 - x0));
-    }
-  }
-  ++frames_displayed_;
-  ++frames_by_stream_[stream];
-  frame_latency_.Add(static_cast<double>(sched_->now() - assembly.first_segment_time));
-}
-
-Task<void> VideoDisplay::HandleSegment(SegmentRef ref) {
-  const Segment& segment = *ref;
+bool VideoDisplay::AssembleSegment(const Segment& segment) {
   if (!segment.is_video()) {
-    co_return;
+    return false;
   }
   ++segments_received_;
   const VideoHeader& vh = segment.video();
@@ -156,7 +103,7 @@ Task<void> VideoDisplay::HandleSegment(SegmentRef ref) {
   } else if (observation.outcome == SequenceTracker::Outcome::kDuplicate ||
              observation.outcome == SequenceTracker::Outcome::kStale ||
              observation.outcome == SequenceTracker::Outcome::kSuspect) {
-    co_return;  // suspect: a likely bit-flipped header; expectation kept
+    return false;  // suspect: a likely bit-flipped header; expectation kept
   } else if (observation.outcome == SequenceTracker::Outcome::kResync) {
     // Re-anchored to a new sequence space; interpolation state is stale.
     line_cache_.Drop(segment.stream);
@@ -182,7 +129,7 @@ Task<void> VideoDisplay::HandleSegment(SegmentRef ref) {
   }
   if (vh.segment_number >= assembly.have_segment.size() ||
       assembly.have_segment[vh.segment_number]) {
-    co_return;
+    return false;
   }
   assembly.have_segment[vh.segment_number] = true;
   ++assembly.segments_received;
@@ -194,22 +141,79 @@ Task<void> VideoDisplay::HandleSegment(SegmentRef ref) {
                      "segment thrown away: decode failed", static_cast<int64_t>(segment.stream));
   }
 
-  if (assembly.segments_received == assembly.segments_expected) {
-    if (!assembly.poisoned) {
-      co_await DisplayFrame(segment.stream, assembly);
-    } else {
-      ++frames_dropped_incomplete_;
-    }
-    // Frame closed; the storage stays for the stream's next frame.
-    // Re-fetched: DisplayFrame suspended.
-    assemblies_[segment.stream].have_segment.clear();
+  if (assembly.segments_received < assembly.segments_expected) {
+    return false;
   }
+  if (assembly.poisoned) {
+    ++frames_dropped_incomplete_;
+    assembly.have_segment.clear();  // frame closed; the storage stays for the next
+    return false;
+  }
+  return true;
+}
+
+bool VideoDisplay::BlitCrossesScan(const Assembly& assembly) const {
+  // Union of rows touched.
+  int top = options_.height;
+  int bottom = 0;
+  for (size_t i = 0; i < assembly.part_count; ++i) {
+    const Rect& rect = assembly.parts[i].rect;
+    top = std::min(top, rect.y);
+    bottom = std::max(bottom, rect.y + rect.height);
+  }
+  const int scan = ScanLineAt(sched_->now());
+  return scan > top && scan < bottom;
+}
+
+void VideoDisplay::BlitFrame(StreamId stream) {
+  Assembly& assembly = assemblies_[stream];
+  for (size_t i = 0; i < assembly.part_count; ++i) {
+    const Part& part = assembly.parts[i];
+    // Clip the part's columns to the screen once, then copy row spans.
+    const int64_t x0 = std::max<int64_t>(part.rect.x, 0);
+    const int64_t x1 = std::min<int64_t>(int64_t{part.rect.x} + part.rect.width, options_.width);
+    if (x0 >= x1) {
+      continue;
+    }
+    for (int row = 0; row < part.rect.height; ++row) {
+      const int64_t y = int64_t{part.rect.y} + row;
+      if (y < 0 || y >= options_.height) {
+        continue;
+      }
+      std::memcpy(screen_.data() + y * options_.width + x0,
+                  part.pixels.data() + static_cast<size_t>(row) * part.rect.width +
+                      (x0 - part.rect.x),
+                  static_cast<size_t>(x1 - x0));
+    }
+  }
+  ++frames_displayed_;
+  ++frames_by_stream_[stream];
+  frame_latency_.Add(static_cast<double>(sched_->now() - assembly.first_segment_time));
+  assembly.have_segment.clear();  // frame closed; the storage stays for the next
 }
 
 Process VideoDisplay::Run() {
   for (;;) {
     SegmentRef ref = co_await segments_in_->Receive();
-    co_await HandleSegment(std::move(ref));
+    if (!AssembleSegment(*ref)) {
+      continue;
+    }
+    const StreamId stream = ref->stream;
+    if (!options_.scan_aware_copy && BlitCrossesScan(assemblies_[stream])) {
+      // A naive blit lands wherever the scan happens to be: if the scan is
+      // sweeping the region's rows, part of the old frame is still being
+      // shown below it while we overwrite above — a visible tear.
+      ++tears_;
+      reporter_.Report("display.tear", ReportSeverity::kWarning, "blit crossed the display scan",
+                       static_cast<int64_t>(stream));
+    }
+    // Scan-aware copy needs no waiting: "the ability to schedule processes
+    // with precisions of a few microseconds allows us to make full use of
+    // our knowledge of the display scan, copying frames both in front of
+    // and behind the scan" — every row is written either after the scan
+    // passed it or before the scan reaches it, so the copy never tears.
+    co_await sched_->WaitFor(options_.copy_duration);
+    BlitFrame(stream);
   }
 }
 

@@ -87,9 +87,15 @@ class VideoDisplay {
   };
 
   Process Run();
-  Task<void> HandleSegment(SegmentRef ref);
-  Task<void> DisplayFrame(StreamId stream, Assembly& assembly);
+  // Files one segment into its stream's assembly; true when it completed a
+  // frame that can be displayed.  A frame with an undecodable segment is
+  // closed and counted here, never displayed.
+  bool AssembleSegment(const Segment& segment);
   bool DecompressInto(const Segment& segment, Assembly* assembly);
+  // Whether a naive blit of the frame now would cross the display scan.
+  bool BlitCrossesScan(const Assembly& assembly) const;
+  // Copies the stream's completed frame onto the screen and closes it.
+  void BlitFrame(StreamId stream);
 
   Scheduler* sched_;
   VideoDisplayOptions options_;

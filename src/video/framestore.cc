@@ -28,27 +28,21 @@ void FrameStore::ReadRectangleNow(const Rect& rect, ReadResult* out) const {
   out->frame = rect.y < scan ? writing : previous;
 }
 
-Task<void> FrameStore::ReadRectangleSafe(Rect rect, ReadResult* out) {
-  for (;;) {
-    Time now = sched_->now();
-    int scan = ScanLineAt(now);
-    if (scan <= rect.y || scan >= rect.y + rect.height) {
-      ReadRectangleNow(rect, out);
-      co_return;
-    }
-    // Wait for the scan to leave the rectangle's rows: it exits at the time
-    // the camera reaches the row past the bottom edge (ceiling division —
-    // flooring could wake us a microsecond early and spin).
-    ++safe_waits_;
-    Time frame_start = (now / kFramePeriod) * kFramePeriod;
-    Time exit_offset = (static_cast<Time>(rect.y + rect.height) * kFramePeriod + height_ - 1) /
-                       height_;
-    Time exit_time = frame_start + exit_offset;
-    if (exit_time <= now) {
-      exit_time = frame_start + kFramePeriod;
-    }
-    co_await sched_->WaitUntil(exit_time);
+std::optional<Time> FrameStore::ScanClearsAt(const Rect& rect) {
+  const Time now = sched_->now();
+  const int scan = ScanLineAt(now);
+  if (scan <= rect.y || scan >= rect.y + rect.height) {
+    return std::nullopt;
   }
+  // The scan exits at the time the camera reaches the row past the bottom
+  // edge (ceiling division — flooring could wake the reader a microsecond
+  // early and spin).
+  ++safe_waits_;
+  const Time frame_start = (now / kFramePeriod) * kFramePeriod;
+  const Time exit_offset =
+      (static_cast<Time>(rect.y + rect.height) * kFramePeriod + height_ - 1) / height_;
+  const Time exit_time = frame_start + exit_offset;
+  return exit_time <= now ? frame_start + kFramePeriod : exit_time;
 }
 
 }  // namespace pandora

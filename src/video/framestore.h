@@ -8,18 +8,19 @@
 //
 // The camera paints the store top-to-bottom over each 40ms frame period; a
 // rectangle read while the camera scan is inside its rows would mix two
-// frames (a tear).  ReadRectangleSafe waits for the scan to clear the rows;
-// ReadRectangleNow reads immediately and reports whether it tore — used to
-// quantify what the careful timing buys (bench E14).
+// frames (a tear).  A carefully-timed reader waits until ScanClearsAt says
+// the scan has left the rows, then calls ReadRectangleNow; ReadRectangleNow
+// alone reads immediately and reports whether it tore — used to quantify
+// what the careful timing buys (bench E14).
 #ifndef PANDORA_SRC_VIDEO_FRAMESTORE_H_
 #define PANDORA_SRC_VIDEO_FRAMESTORE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/runtime/scheduler.h"
-#include "src/runtime/task.h"
 #include "src/runtime/time.h"
 #include "src/segment/constants.h"
 
@@ -145,9 +146,11 @@ class FrameStore {
   // inside the rectangle's rows.
   void ReadRectangleNow(const Rect& rect, ReadResult* out) const;
 
-  // The paper's carefully-timed read: waits until the camera scan is
-  // outside [rect.y, rect.y+height) before reading.  Never tears.
-  Task<void> ReadRectangleSafe(Rect rect, ReadResult* out);
+  // The paper's carefully-timed read: nullopt when the camera scan is
+  // outside [rect.y, rect.y+height) now, so a read cannot tear; otherwise
+  // the instant the scan leaves those rows, and the wait is counted in
+  // safe_waits().  The reader waits until that instant and asks again.
+  std::optional<Time> ScanClearsAt(const Rect& rect);
 
   uint64_t safe_waits() const { return safe_waits_; }
 

@@ -12,9 +12,10 @@
 // warmed-up two-box Simulation must move its audio from microphone to mixer
 // with zero heap calls per delivered segment, and a 64x48 video stream
 // (capture, wire, display) may add at most one.  Pooled coroutine frames
-// are invisible to the heap counter, so the audio call also pins them:
-// at most one frame per switched segment.  Dispatches are pinned the same
-// way: at most 15.5 per switched segment.
+// are invisible to the heap counter, so the calls also pin them: at most
+// half a frame per switched segment, with audio only and with video.
+// Dispatches are pinned the same way: at most 15.5 and 14.605 per switched
+// segment.
 //
 // The global operator new/delete replacement is tests/counting_allocator.h,
 // shared with the benches.
@@ -191,8 +192,9 @@ class DataPathAllocTest : public ::testing::Test {
 #endif
   }
 
-  // Adds the two boxes of a call and starts the world.
-  void Build(bool with_video) {
+  // Starts a two-box call: audio both ways, plus one video stream from the
+  // first box to the second when `with_video`.
+  void StartCall(bool with_video) {
     for (const char* name : {"alice", "bob"}) {
       PandoraBox::Options options;
       options.name = name;
@@ -200,6 +202,11 @@ class DataPathAllocTest : public ::testing::Test {
       boxes_.push_back(&sim_.AddBox(options));
     }
     sim_.Start();
+    sim_.SendAudio(*boxes_[0], *boxes_[1]);
+    sim_.SendAudio(*boxes_[1], *boxes_[0]);
+    if (with_video) {
+      sim_.SendVideo(*boxes_[0], *boxes_[1], Rect{0, 0, 64, 48});
+    }
   }
 
   uint64_t Switched() {
@@ -233,66 +240,66 @@ class DataPathAllocTest : public ::testing::Test {
     return {allocs, Delivered() - delivered_before};
   }
 
+  // The same warmup and window, counted as the growth of `count()` per
+  // switched segment.  Coroutine frames and dispatches are exact work: the
+  // figure is the same on every machine.
+  template <typename Count>
+  double PerSwitchedSegment(Count count) {
+    sim_.RunFor(Seconds(5));
+    const uint64_t switched_before = Switched();
+    const uint64_t count_before = count();
+    sim_.RunFor(Seconds(20));
+    const uint64_t switched = Switched() - switched_before;
+    EXPECT_GE(switched, 10'000u);
+    return static_cast<double>(count() - count_before) / static_cast<double>(switched);
+  }
+
+  static uint64_t Frames() { return FramePool::allocations(); }
+  uint64_t Dispatches() { return sim_.scheduler().context_switches(); }
+
   Simulation sim_;
   std::vector<PandoraBox*> boxes_;
 };
 
 TEST_F(DataPathAllocTest, TwoWayAudioCallIsAllocationFree) {
-  Build(/*with_video=*/false);
-  sim_.SendAudio(*boxes_[0], *boxes_[1]);
-  sim_.SendAudio(*boxes_[1], *boxes_[0]);
+  StartCall(/*with_video=*/false);
   const auto [allocs, delivered] = Measure();
   EXPECT_GE(delivered, 10'000u);
   EXPECT_EQ(allocs, 0u) << "mic -> wire -> mixer touched the heap in steady state ("
                         << delivered << " segments delivered)";
 }
 
+// A pooled frame costs no heap call, so the zero-alloc gates cannot see a
+// per-segment coroutine coming back; these pin the frames themselves.  The
+// one frame left per segment is AtmNetwork::ForwardProc, one per traversal
+// of the fabric (ROADMAP item 11).
 TEST_F(DataPathAllocTest, TwoWayAudioCallFramesPerSwitchedSegment) {
-  // Coroutine frames are exact work: a pooled frame costs no heap call, so
-  // the zero-alloc gate above cannot see a Task coming back per segment.
-  // This pins the frames themselves, deterministically, on every machine.
-  Build(/*with_video=*/false);
-  sim_.SendAudio(*boxes_[0], *boxes_[1]);
-  sim_.SendAudio(*boxes_[1], *boxes_[0]);
-  sim_.RunFor(Seconds(5));
-  const uint64_t switched_before = Switched();
-  const uint64_t frames_before = FramePool::allocations();
-  sim_.RunFor(Seconds(20));
-  const uint64_t frames = FramePool::allocations() - frames_before;
-  const uint64_t switched = Switched() - switched_before;
-  EXPECT_GE(switched, 10'000u);
-  // The one frame left per segment is the egress encode (SendEncodedSegment).
-  EXPECT_LE(frames, switched) << frames << " coroutine frames for " << switched
-                              << " switched segments";
+  StartCall(/*with_video=*/false);
+  EXPECT_LE(PerSwitchedSegment(Frames), 0.5);
 }
 
+TEST_F(DataPathAllocTest, TwoWayAvCallFramesPerSwitchedSegment) {
+  StartCall(/*with_video=*/true);
+  EXPECT_LE(PerSwitchedSegment(Frames), 0.5);
+}
+
+// Dispatches: process resumptions per switched segment.  A stage that wakes
+// a process per segment again (a buffer core, a splitter, a reply wake in
+// the switch) moves these on every machine.  The ceilings are the counts
+// measured with passive decoupling buffers and a passive network splitter
+// (DESIGN.md §10.7); the A/V call measured 14.604.
 TEST_F(DataPathAllocTest, TwoWayAudioCallDispatchesPerSwitchedSegment) {
-  // Dispatches are exact work too: the same warmed call, counted in
-  // process resumptions per switched segment.  A stage that wakes a
-  // process per segment again (a buffer core, a splitter, a reply wake in
-  // the switch) moves this on every machine.
-  Build(/*with_video=*/false);
-  sim_.SendAudio(*boxes_[0], *boxes_[1]);
-  sim_.SendAudio(*boxes_[1], *boxes_[0]);
-  sim_.RunFor(Seconds(5));
-  Scheduler& sched = sim_.scheduler();
-  const uint64_t switched_before = Switched();
-  const uint64_t dispatches_before = sched.context_switches();
-  sim_.RunFor(Seconds(20));
-  const uint64_t dispatches = sched.context_switches() - dispatches_before;
-  const uint64_t switched = Switched() - switched_before;
-  EXPECT_GE(switched, 10'000u);
-  // The ceiling is the count measured with passive decoupling buffers and
-  // a passive network splitter (DESIGN.md §10.7).
-  EXPECT_LE(static_cast<double>(dispatches), 15.5 * static_cast<double>(switched))
-      << dispatches << " dispatches for " << switched << " switched segments";
+  StartCall(/*with_video=*/false);
+  EXPECT_LE(PerSwitchedSegment([this] { return Dispatches(); }), 15.5);
+}
+
+TEST_F(DataPathAllocTest, TwoWayAvCallDispatchesPerSwitchedSegment) {
+  StartCall(/*with_video=*/true);
+  EXPECT_LE(PerSwitchedSegment([this] { return Dispatches(); }), 14.605);
 }
 
 TEST_F(DataPathAllocTest, VideoStreamCostsAtMostOneAllocPerSegment) {
-  Build(/*with_video=*/true);
-  sim_.SendAudio(*boxes_[0], *boxes_[1]);
-  sim_.SendAudio(*boxes_[1], *boxes_[0]);
-  sim_.SendVideo(*boxes_[0], *boxes_[1], Rect{0, 0, 64, 48});
+  StartCall(/*with_video=*/true);
   const auto [allocs, delivered] = Measure();
   EXPECT_GE(delivered, 10'000u);
   EXPECT_LE(static_cast<double>(allocs), static_cast<double>(delivered))

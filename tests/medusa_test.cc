@@ -81,6 +81,62 @@ TEST(MedusaTest, MicrophoneFansOutToSeveralSpeakers) {
   EXPECT_GT(spk2.codec_out().played_blocks(), 900u);
 }
 
+TEST(MedusaTest, FanOutOverAHopPinsEveryOutcome) {
+  // One microphone feeding two speakers and one camera feeding two displays
+  // through one jittery, lossy hop.  Each uplink encodes a segment once and
+  // shares the wire image across its circuits; the exact values pin the
+  // run, so a change to the uplinks that moves any send, draw or release
+  // shows here.
+  MedusaRig rig;
+  HopQuality quality;
+  quality.jitter_max = Millis(8);
+  quality.loss_rate = 0.01;
+  NetHop* hop = rig.net.AddHop("hop", quality);
+  NetMicrophone mic(&rig.sched, &rig.net, {.name = "mic", .stream = 1});
+  NetSpeaker spk1(&rig.sched, &rig.net, {.name = "spk1"});
+  NetSpeaker spk2(&rig.sched, &rig.net, {.name = "spk2"});
+  NetCamera cam(&rig.sched, &rig.net, {.name = "cam", .stream = 2});
+  NetDisplay disp1(&rig.sched, &rig.net, {.name = "disp1"});
+  NetDisplay disp2(&rig.sched, &rig.net, {.name = "disp2"});
+  // A source port keys its circuits by VCI, and every device numbers its
+  // inputs from 1: the second listeners skip an id so that each circuit
+  // has a VCI of its own.
+  spk2.AllocateInput();
+  disp2.AllocateInput();
+  EXPECT_EQ(ConnectAudio(&rig.net, &mic, &spk1, {hop}), 1u);
+  EXPECT_EQ(ConnectAudio(&rig.net, &mic, &spk2, {hop}), 2u);
+  EXPECT_EQ(ConnectVideo(&rig.net, &cam, &disp1, {hop}), 1u);
+  EXPECT_EQ(ConnectVideo(&rig.net, &cam, &disp2, {hop}), 2u);
+  ShutdownGuard guard(&rig.sched);
+  mic.Start();
+  spk1.Start();
+  spk2.Start();
+  cam.Start();
+  disp1.Start();
+  disp2.Start();
+  rig.sched.RunFor(Seconds(3));
+
+  EXPECT_EQ(spk1.codec_out().played_blocks(), 1498u);
+  EXPECT_EQ(spk1.codec_out().underruns(), 0u);
+  EXPECT_EQ(spk1.mixer().blocks_mixed(), 1495u);
+  EXPECT_EQ(spk2.codec_out().played_blocks(), 1498u);
+  EXPECT_EQ(spk2.codec_out().underruns(), 0u);
+  EXPECT_EQ(spk2.mixer().blocks_mixed(), 1493u);
+  EXPECT_EQ(cam.capture().frames_captured(), 74u);
+  EXPECT_EQ(disp1.display().frames_displayed(), 71u);
+  EXPECT_EQ(disp1.display().tears(), 0u);
+  EXPECT_EQ(disp2.display().frames_displayed(), 70u);
+  EXPECT_EQ(disp2.display().tears(), 0u);
+  EXPECT_EQ(rig.net.total_delivered(), 2068u);
+  EXPECT_EQ(rig.net.bytes_on_wire(), 1205648u);
+  EXPECT_EQ(mic.deep_copies(), 750u);
+  EXPECT_EQ(spk1.deep_copies(), 740u);
+  EXPECT_EQ(spk2.deep_copies(), 743u);
+  EXPECT_EQ(cam.deep_copies(), 296u);
+  EXPECT_EQ(disp1.deep_copies(), 293u);
+  EXPECT_EQ(disp2.deep_copies(), 292u);
+}
+
 TEST(MedusaTest, CameraToDisplayShowsFrames) {
   MedusaRig rig;
   NetCamera camera(&rig.sched, &rig.net, {.name = "cam", .stream = 1});

@@ -10,7 +10,6 @@
 #include "src/net/atm.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/shard_set.h"
-#include "src/runtime/task.h"
 #include "src/segment/segment.h"
 #include "src/segment/wire.h"
 
@@ -39,25 +38,25 @@ struct NetRig {
   ShutdownGuard guard{&sched};
 };
 
-// Encodes `ref` into `port`'s wire pool and hands the wire image to the
-// interface — the source-side half of the wire path, done by hand so this
-// file stays at the net layer (the server-layer helper is SendEncodedSegment).
-Task<void> SendOneEncoded(AtmPort* port, SegmentRef ref, Vci vci) {
-  WireRef wire = co_await port->wire_pool().Allocate();
+// Encodes `ref` into `wire` and addresses it to `vci` — the source-side half
+// of the wire path, done by hand so this file stays at the net layer (the
+// server layer's is EncodeForWire).  The caller allocates `wire` from the
+// sending port's pool and hands the NetTx to the interface.
+NetTx EncodeOne(WireRef wire, const SegmentRef& ref, Vci vci) {
   EncodeSegmentInto(*ref, StreamField::kOmitted, &wire->bytes);
-  ref.Reset();
-  // Built in a named local: GCC 12 mishandles move-only aggregate
-  // temporaries inside co_await argument expressions (see channel.h).
   NetTx tx;
   tx.vci = vci;
   tx.wire = std::move(wire);
-  co_await port->tx().Send(std::move(tx));
+  return tx;
 }
 
 Process SendSegments(Scheduler* sched, BufferPool* pool, AtmPort* port, Vci vci, int count,
                      Duration spacing, size_t bytes = 32) {
   for (int i = 0; i < count; ++i) {
-    co_await SendOneEncoded(port, MakeAudioRef(pool, 99, static_cast<uint32_t>(i), bytes), vci);
+    WireRef wire = co_await port->wire_pool().Allocate();
+    NetTx tx = EncodeOne(std::move(wire), MakeAudioRef(pool, 99, static_cast<uint32_t>(i), bytes),
+                         vci);
+    co_await port->tx().Send(std::move(tx));
     co_await sched->WaitFor(spacing);
   }
 }
@@ -211,13 +210,16 @@ TEST(AtmTest, NonInterleavedInterfaceDelaysAudioBehindVideo) {
   std::vector<Segment> got;
   rig.sched.Spawn(CollectSegments(rig.b, &got), "rx");
 
-  auto mixed_tx = [](Scheduler* s, BufferPool* pool, AtmPort* a) -> Process {
+  auto mixed_tx = [](BufferPool* pool, AtmPort* a) -> Process {
     // Send the video first, then immediately the audio.
-    co_await SendOneEncoded(a, MakeAudioRef(pool, 1, 0, 50'000), 43);
-    co_await SendOneEncoded(a, MakeAudioRef(pool, 2, 0, 32), 42);
-    (void)s;
+    WireRef video_wire = co_await a->wire_pool().Allocate();
+    NetTx video = EncodeOne(std::move(video_wire), MakeAudioRef(pool, 1, 0, 50'000), 43);
+    co_await a->tx().Send(std::move(video));
+    WireRef audio_wire = co_await a->wire_pool().Allocate();
+    NetTx audio = EncodeOne(std::move(audio_wire), MakeAudioRef(pool, 2, 0, 32), 42);
+    co_await a->tx().Send(std::move(audio));
   };
-  rig.sched.Spawn(mixed_tx(&rig.sched, &rig.pool, rig.a), "tx");
+  rig.sched.Spawn(mixed_tx(&rig.pool, rig.a), "tx");
   rig.sched.RunFor(Millis(100));
   const CircuitStats* audio_stats = rig.net.StatsFor(rig.a, 42);
   ASSERT_EQ(audio_stats->delivered, 1u);

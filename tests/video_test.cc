@@ -3,6 +3,7 @@
 // fractional frame rates, and tear-free display (paper sections 3.3, 3.6).
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -389,7 +390,11 @@ TEST(FrameStoreTest, SafeReadWaitsForScanToClear) {
   auto reader = [](Scheduler* s, FrameStore* store, FrameStore::ReadResult* out,
                    bool* done) -> Process {
     co_await s->WaitUntil(Millis(20));  // scan at line 24, inside rows 16..32
-    co_await store->ReadRectangleSafe({0, 16, 64, 16}, out);
+    const Rect rect{0, 16, 64, 16};
+    while (const std::optional<Time> clear = store->ScanClearsAt(rect)) {
+      co_await s->WaitUntil(*clear);
+    }
+    store->ReadRectangleNow(rect, out);
     *done = true;
   };
   sched.Spawn(reader(&sched, &store, &result, &done), "reader");

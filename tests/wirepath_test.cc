@@ -165,29 +165,27 @@ TEST(WirePathTest, NetworkInputCountsReportsAndRecoversPastMalformedWireImages) 
     return std::move(*wire);
   };
 
-  auto inject = [](AtmPort* dst, WireRef wire) -> Task<void> {
-    NetRx in;
-    in.vci = 7;
-    in.wire = std::move(wire);
-    co_await dst->rx().Send(std::move(in));
-  };
-  auto feeder = [&make_wire, &inject](AtmPort* dst) -> Process {
-    // seq 0: intact.
-    co_await inject(dst, make_wire(0));
-    // seq 1: truncated in flight (half the image lost).
-    WireRef truncated = make_wire(1);
-    truncated->bytes.resize(truncated->bytes.size() / 2);
-    co_await inject(dst, std::move(truncated));
-    // seq 2: version field mangled (bytes 0..3 with the stream omitted).
-    WireRef mangled = make_wire(2);
-    mangled->bytes[0] ^= 0xFF;
-    co_await inject(dst, std::move(mangled));
-    // seq 3: single bit flipped in the declared-length field.
-    WireRef flipped = make_wire(3);
-    flipped->bytes[16] ^= 0x04;
-    co_await inject(dst, std::move(flipped));
-    // seq 4: intact — the input must still be alive and forwarding.
-    co_await inject(dst, make_wire(4));
+  auto feeder = [&make_wire](AtmPort* dst) -> Process {
+    for (uint32_t seq = 0; seq < 5; ++seq) {
+      WireRef wire = make_wire(seq);
+      switch (seq) {
+        case 1:  // truncated in flight (half the image lost)
+          wire->bytes.resize(wire->bytes.size() / 2);
+          break;
+        case 2:  // version field mangled (bytes 0..3 with the stream omitted)
+          wire->bytes[0] ^= 0xFF;
+          break;
+        case 3:  // single bit flipped in the declared-length field
+          wire->bytes[16] ^= 0x04;
+          break;
+        default:  // seqs 0 and 4 intact: the input must still be forwarding
+          break;
+      }
+      NetRx in;
+      in.vci = 7;
+      in.wire = std::move(wire);
+      co_await dst->rx().Send(std::move(in));
+    }
   };
   std::vector<uint32_t> forwarded;
   auto drain = [](Channel<SegmentRef>* out, std::vector<uint32_t>* got) -> Process {

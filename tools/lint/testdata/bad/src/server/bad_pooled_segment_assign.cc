@@ -9,7 +9,7 @@
 
 namespace pandora {
 
-inline Task<void> Emit(BufferPool* pool, std::vector<uint8_t> samples, const VideoHeader& vh) {
+inline Process Emit(BufferPool* pool, std::vector<uint8_t> samples, const VideoHeader& vh) {
   SegmentRef ref = co_await pool->Allocate();
   *ref = MakeAudioSegment(1, 0, 0, std::move(samples));  // EXPECT-LINT: pooled-segment-assign
   std::optional<SegmentRef> maybe = pool->TryAllocate();
